@@ -5,9 +5,9 @@
 // reproduced here verbatim as the "legacy" implementation and raced
 // against the production flat path on identical plans and data.
 //
-// The host is single-core, so the comparison is pure substrate
-// throughput: same semi-naive schedule, same join orders, same
-// fixpoints (asserted), different storage/dispatch machinery.
+// Both sides run single-threaded, so the comparison is pure substrate
+// throughput on any host: same semi-naive schedule, same join orders,
+// same fixpoints (asserted), different storage/dispatch machinery.
 // Emits BENCH_hotpath.json; exits nonzero if any fixpoint diverges.
 #include <algorithm>
 #include <cstdio>

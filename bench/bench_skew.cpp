@@ -8,9 +8,10 @@
 // between rounds; the firings concentration and the modeled makespan
 // must both drop while the fixpoint stays bit-identical.
 //
-// The container this reproduction runs on is single-core, so the
-// headline metrics are the work-model ones (max/mean firings and
-// ModeledMakespan — see DESIGN.md), not wall time.
+// The headline metrics are the work-model ones (max/mean firings and
+// ModeledMakespan — see DESIGN.md): they are deterministic, while the
+// wall time of threaded runs varies with the host's core count and
+// load.
 //
 // `bench_skew smoke` runs a smaller input for CI.
 #include <algorithm>

@@ -2,82 +2,31 @@
 
 #include <cassert>
 
-#include "core/transport.h"
 #include "core/wire.h"
 #include "obs/trace.h"
 
 namespace pdatalog {
 
-Channel::Channel() : transport_(MakeTransport(TransportKind::kMutex)) {}
-Channel::~Channel() = default;
-
-void Channel::set_transport(std::unique_ptr<Transport> transport) {
-  assert(transport != nullptr);
-  assert(!transport_->HasPending());
-  transport_ = std::move(transport);
-}
-
 // --- send / drain ---
 //
 // Fast path (no faults, no retransmit): accounting via single increments
-// on the atomic counters, flow instant, then hand the frame to the
-// transport. The counter bump happens before the frame is published, so
-// a receiver that observed the frame also observes counters covering it
-// (the Mattern detector's CountSend in the worker has the same
-// ordering). Slow path: everything under mutex_, transport unused.
-
-void Channel::Send(Message message) {
-  total_bytes_.fetch_add(message.WireBytes(), std::memory_order_relaxed);
-  total_sent_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t frame = total_frames_.fetch_add(1, std::memory_order_relaxed);
-  if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EnqueueBlockLocked(BlockOfOne(std::move(message)));
-    return;
-  }
-  NoteFlowSend(frame);
-  transport_->SendBlock(BlockOfOne(std::move(message)));
-}
-
-void Channel::SendBatch(std::vector<Message>* batch) {
-  if (batch->empty()) return;
-  if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (Message& m : *batch) {
-      total_bytes_.fetch_add(m.WireBytes(), std::memory_order_relaxed);
-      total_sent_.fetch_add(1, std::memory_order_relaxed);
-      total_frames_.fetch_add(1, std::memory_order_relaxed);
-      EnqueueBlockLocked(BlockOfOne(std::move(m)));
-    }
-    batch->clear();
-    return;
-  }
-  // One block frame per message, published as a batch (one index store
-  // on the ring backend).
-  std::vector<TupleBlock> blocks;
-  blocks.reserve(batch->size());
-  for (Message& m : *batch) {
-    total_bytes_.fetch_add(m.WireBytes(), std::memory_order_relaxed);
-    total_sent_.fetch_add(1, std::memory_order_relaxed);
-    uint64_t frame = total_frames_.fetch_add(1, std::memory_order_relaxed);
-    NoteFlowSend(frame);
-    blocks.push_back(BlockOfOne(std::move(m)));
-  }
-  batch->clear();
-  transport_->SendBlocks(blocks.data(), blocks.size());
-}
+// on the atomic counters, flow instant, then append the frame to the
+// queue under the lock. The counter bump happens before the frame is
+// enqueued, so a receiver that observed the frame also observes
+// counters covering it (the Mattern detector's CountSend in the worker
+// has the same ordering). Slow path: seq-stamped Extras queues.
 
 void Channel::SendBlock(TupleBlock block) {
   total_bytes_.fetch_add(block.WireBytes(), std::memory_order_relaxed);
   total_sent_.fetch_add(block.count, std::memory_order_relaxed);
   uint64_t frame = total_frames_.fetch_add(1, std::memory_order_relaxed);
+  if (fx_ == nullptr) NoteFlowSend(frame);
+  std::lock_guard<std::mutex> lock(mutex_);
   if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
     EnqueueBlockLocked(std::move(block));
-    return;
+  } else {
+    queue_.push_back(std::move(block));
   }
-  NoteFlowSend(frame);
-  transport_->SendBlock(std::move(block));
 }
 
 size_t Channel::DrainBlocks(std::vector<TupleBlock>* out) {
@@ -86,61 +35,29 @@ size_t Channel::DrainBlocks(std::vector<TupleBlock>* out) {
     std::lock_guard<std::mutex> lock(mutex_);
     DrainBlocksLocked(out);
   } else {
-    size_t frames = transport_->DrainBlocks(out);
-    NoteFlowRecv(frames);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      out->reserve(start + queue_.size());
+      for (TupleBlock& b : queue_) out->push_back(std::move(b));
+      queue_.clear();
+    }
+    NoteFlowRecv(out->size() - start);
   }
   size_t tuples = 0;
   for (size_t i = start; i < out->size(); ++i) tuples += (*out)[i].count;
   return tuples;
 }
 
-size_t Channel::Drain(std::vector<Message>* out) {
-  std::vector<TupleBlock> blocks;
-  size_t tuples = DrainBlocks(&blocks);
-  out->reserve(out->size() + tuples);
-  for (TupleBlock& b : blocks) {
-    for (uint32_t r = 0; r < b.count; ++r) {
-      out->push_back(Message{b.predicate, Tuple(b.row(r), b.arity)});
-    }
-  }
-  return tuples;
-}
-
-void Channel::SendBytes(std::vector<uint8_t> bytes, uint32_t tuples) {
-  total_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
-  total_sent_.fetch_add(tuples, std::memory_order_relaxed);
-  uint64_t frame = total_frames_.fetch_add(1, std::memory_order_relaxed);
-  if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    SendBytesLocked(std::move(bytes));
-    return;
-  }
-  NoteFlowSend(frame);
-  transport_->SendBytes(std::move(bytes));
-}
-
-size_t Channel::DrainBytes(std::vector<std::vector<uint8_t>>* out) {
-  if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return DrainBytesLocked(out);
-  }
-  size_t frames = transport_->DrainBytes(out);
-  NoteFlowRecv(frames);
-  return frames;
-}
-
 bool Channel::HasPending() const {
-  if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return HasPendingLocked();
-  }
-  return transport_->HasPending();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (fx_ == nullptr) return !queue_.empty();
+  return !fx_->queue.empty() || !fx_->delayed.empty();
 }
 
 Channel::Extras& Channel::EnsureExtras() {
   // Configuration happens before the run; nothing may be in flight when
   // the channel switches to the slow path.
-  assert(!transport_->HasPending());
+  assert(queue_.empty());
   if (fx_ == nullptr) fx_ = std::make_unique<Extras>();
   return *fx_;
 }
@@ -210,84 +127,35 @@ void Channel::EnqueueBlockLocked(TupleBlock block) {
            fx.drain_calls + fx.injector->delay_polls()});
       return;
     case FaultInjector::Action::kCorrupt:
-      // Block-object mode has no bytes to flip; only serialized
-      // channels can corrupt. Deliver intact, without counting.
+      // Only encoded frames have bytes to flip; a block of decoded
+      // values is delivered intact, without counting.
+      if (!block.encoded.empty()) {
+        ++fx.counters.corrupted;
+        block.encoded[fx.injector->CorruptOffset(block.encoded.size())] ^=
+            0xa5;
+      }
+      [[fallthrough]];
     case FaultInjector::Action::kDeliver:
       fx.queue.emplace_back(seq, std::move(block));
       return;
   }
 }
 
-void Channel::SendBytesLocked(std::vector<uint8_t> bytes) {
-  Extras& fx = *fx_;
-  uint64_t seq = fx.next_seq++;
-  if (fx.reliable) fx.unacked_bytes.emplace_back(seq, bytes);
-  FaultInjector::Action action = fx.injector != nullptr
-                                     ? fx.injector->Next()
-                                     : FaultInjector::Action::kDeliver;
-  switch (action) {
-    case FaultInjector::Action::kDrop:
-      ++fx.counters.dropped;
-      return;
-    case FaultInjector::Action::kDuplicate:
-      ++fx.counters.duplicated;
-      fx.byte_queue.emplace_back(seq, bytes);
-      fx.byte_queue.emplace_back(seq, std::move(bytes));
-      return;
-    case FaultInjector::Action::kReorder:
-      ++fx.counters.reordered;
-      fx.byte_queue.insert(fx.byte_queue.begin(), {seq, std::move(bytes)});
-      return;
-    case FaultInjector::Action::kDelay:
-      ++fx.counters.delayed;
-      fx.delayed_bytes.push_back(
-          {seq, std::move(bytes),
-           fx.drain_calls + fx.injector->delay_polls()});
-      return;
-    case FaultInjector::Action::kCorrupt: {
-      ++fx.counters.corrupted;
-      if (!bytes.empty()) {
-        bytes[fx.injector->CorruptOffset(bytes.size())] ^= 0xa5;
-      }
-      fx.byte_queue.emplace_back(seq, std::move(bytes));
-      return;
-    }
-    case FaultInjector::Action::kDeliver:
-      fx.byte_queue.emplace_back(seq, std::move(bytes));
-      return;
-  }
-}
-
 void Channel::ReleaseMatureLocked() {
   Extras& fx = *fx_;
-  if (!fx.delayed.empty()) {
-    size_t kept = 0;
-    for (size_t k = 0; k < fx.delayed.size(); ++k) {
-      Extras::DelayedBlock& d = fx.delayed[k];
-      if (d.release_at <= fx.drain_calls) {
-        fx.queue.emplace_back(d.seq, std::move(d.block));
-      } else {
-        // Compact in place; guard the no-release case against
-        // self-move-assignment, which would gut the block's buffer.
-        if (kept != k) fx.delayed[kept] = std::move(d);
-        ++kept;
-      }
+  size_t kept = 0;
+  for (size_t k = 0; k < fx.delayed.size(); ++k) {
+    Extras::DelayedBlock& d = fx.delayed[k];
+    if (d.release_at <= fx.drain_calls) {
+      fx.queue.emplace_back(d.seq, std::move(d.block));
+    } else {
+      // Compact in place; guard the no-release case against
+      // self-move-assignment, which would gut the block's buffer.
+      if (kept != k) fx.delayed[kept] = std::move(d);
+      ++kept;
     }
-    fx.delayed.resize(kept);
   }
-  if (!fx.delayed_bytes.empty()) {
-    size_t kept = 0;
-    for (size_t k = 0; k < fx.delayed_bytes.size(); ++k) {
-      Extras::DelayedBytes& d = fx.delayed_bytes[k];
-      if (d.release_at <= fx.drain_calls) {
-        fx.byte_queue.emplace_back(d.seq, std::move(d.bytes));
-      } else {
-        if (kept != k) fx.delayed_bytes[kept] = std::move(d);
-        ++kept;
-      }
-    }
-    fx.delayed_bytes.resize(kept);
-  }
+  fx.delayed.resize(kept);
 }
 
 void Channel::DeliverBlockLocked(TupleBlock block,
@@ -304,99 +172,43 @@ void Channel::DeliverBlockLocked(TupleBlock block,
   }
 }
 
-void Channel::DeliverBytesLocked(std::vector<uint8_t> bytes,
-                                 std::vector<std::vector<uint8_t>>* out,
-                                 size_t* delivered) {
-  Extras& fx = *fx_;
-  out->push_back(std::move(bytes));
-  ++*delivered;
-  ++fx.deliver_next;
-  for (auto it = fx.ahead_bytes.find(fx.deliver_next);
-       it != fx.ahead_bytes.end();
-       it = fx.ahead_bytes.find(fx.deliver_next)) {
-    out->push_back(std::move(it->second));
-    fx.ahead_bytes.erase(it);
-    ++*delivered;
-    ++fx.deliver_next;
-  }
+void Channel::NoteDiscardLocked(uint64_t* counter, TracePhase phase) {
+  ++*counter;
+  if (recv_trace_ != nullptr) recv_trace_->Instant(phase);
 }
 
-size_t Channel::DrainBlocksLocked(std::vector<TupleBlock>* out) {
+void Channel::DrainBlocksLocked(std::vector<TupleBlock>* out) {
   Extras& fx = *fx_;
   ++fx.drain_calls;
   ReleaseMatureLocked();
-  size_t start = out->size();
   if (!fx.reliable) {
     for (auto& [seq, b] : fx.queue) out->push_back(std::move(b));
     fx.queue.clear();
-    return out->size() - start;
+    return;
   }
   for (auto& [seq, b] : fx.queue) {
     if (seq < fx.deliver_next) {
-      ++fx.counters.duplicates_discarded;
-      if (recv_trace_ != nullptr) {
-        recv_trace_->Instant(TracePhase::kDupFrame);
-      }
-    } else if (seq == fx.deliver_next) {
-      DeliverBlockLocked(std::move(b), out);
-    } else if (!fx.ahead.emplace(seq, std::move(b)).second) {
-      ++fx.counters.duplicates_discarded;
-      if (recv_trace_ != nullptr) {
-        recv_trace_->Instant(TracePhase::kDupFrame);
-      }
-    }
-  }
-  fx.queue.clear();
-  return out->size() - start;
-}
-
-size_t Channel::DrainBytesLocked(std::vector<std::vector<uint8_t>>* out) {
-  Extras& fx = *fx_;
-  ++fx.drain_calls;
-  ReleaseMatureLocked();
-  size_t delivered = 0;
-  if (!fx.reliable) {
-    for (auto& [seq, b] : fx.byte_queue) {
-      out->push_back(std::move(b));
-      ++delivered;
-    }
-    fx.byte_queue.clear();
-    return delivered;
-  }
-  for (auto& [seq, b] : fx.byte_queue) {
-    if (seq < fx.deliver_next) {
-      ++fx.counters.duplicates_discarded;
-      if (recv_trace_ != nullptr) {
-        recv_trace_->Instant(TracePhase::kDupFrame);
-      }
+      NoteDiscardLocked(&fx.counters.duplicates_discarded,
+                        TracePhase::kDupFrame);
       continue;
     }
-    // A frame the injector corrupted fails its checksum; treat it as
-    // lost (no delivery, no ack) so the sender's resend recovers it.
-    if (!FrameChecksumOk(b.data(), b.size())) {
-      ++fx.counters.corrupt_discarded;
-      if (recv_trace_ != nullptr) {
-        recv_trace_->Instant(TracePhase::kCorruptFrame);
-      }
+    // An encoded frame the injector corrupted fails its checksum; treat
+    // it as lost (no delivery, no ack) so the sender's resend recovers
+    // it.
+    if (!b.encoded.empty() &&
+        !FrameChecksumOk(b.encoded.data(), b.encoded.size())) {
+      NoteDiscardLocked(&fx.counters.corrupt_discarded,
+                        TracePhase::kCorruptFrame);
       continue;
     }
     if (seq == fx.deliver_next) {
-      DeliverBytesLocked(std::move(b), out, &delivered);
-    } else if (!fx.ahead_bytes.emplace(seq, std::move(b)).second) {
-      ++fx.counters.duplicates_discarded;
-      if (recv_trace_ != nullptr) {
-        recv_trace_->Instant(TracePhase::kDupFrame);
-      }
+      DeliverBlockLocked(std::move(b), out);
+    } else if (!fx.ahead.emplace(seq, std::move(b)).second) {
+      NoteDiscardLocked(&fx.counters.duplicates_discarded,
+                        TracePhase::kDupFrame);
     }
   }
-  fx.byte_queue.clear();
-  return delivered;
-}
-
-bool Channel::HasPendingLocked() const {
-  const Extras& fx = *fx_;
-  return !fx.queue.empty() || !fx.byte_queue.empty() ||
-         !fx.delayed.empty() || !fx.delayed_bytes.empty();
+  fx.queue.clear();
 }
 
 size_t Channel::RetransmitUnacked() {
@@ -406,20 +218,10 @@ size_t Channel::RetransmitUnacked() {
   while (!fx.unacked.empty() && fx.unacked.front().first < fx.deliver_next) {
     fx.unacked.pop_front();
   }
-  while (!fx.unacked_bytes.empty() &&
-         fx.unacked_bytes.front().first < fx.deliver_next) {
-    fx.unacked_bytes.pop_front();
-  }
   size_t resent = 0;
   for (const auto& [seq, b] : fx.unacked) {
     if (fx.ahead.count(seq) != 0) continue;  // receiver already holds it
     fx.queue.emplace_back(seq, b);
-    ++fx.counters.retransmitted;
-    ++resent;
-  }
-  for (const auto& [seq, b] : fx.unacked_bytes) {
-    if (fx.ahead_bytes.count(seq) != 0) continue;
-    fx.byte_queue.emplace_back(seq, b);
     ++fx.counters.retransmitted;
     ++resent;
   }

@@ -11,26 +11,27 @@
 // so the Mattern termination counters and the channel matrix keep their
 // paper semantics; frames are tracked separately.
 //
-// Data movement itself is delegated to a pluggable Transport
-// (core/transport.h): the default is the original mutex-guarded queue,
-// and the engine can install a lock-free bounded SPSC ring per channel
-// instead (--transport=spsc). The Channel keeps everything that must be
-// backend-independent: tuple/byte/frame accounting, flow-trace
-// instants, and the fault-injection / retransmit machinery below.
+// The channel itself is the data-movement layer: on the default fast
+// path a sender appends the frame to a mutex-guarded queue and the
+// receiver swaps the whole backlog out in one drain. The lock order of
+// that append/drain pair is the happens-before edge the flow-trace
+// instants and the Mattern counters rely on.
+//
+// In serialized (message-passing) mode a frame carries its EncodeBlock
+// bytes instead of decoded values (TupleBlock::encoded); the channel
+// moves both kinds the same way and the receiving worker decodes.
 //
 // The reliability assumption is exactly that — an assumption — so the
 // channel also supports a deterministic fault-injection mode
 // (core/fault.h) that violates it on purpose, and an optional
 // at-least-once retransmit protocol (per-channel sequence numbers,
 // receiver-side dedup and in-order delivery, sender-side resend of
-// unacknowledged frames) that restores it. Both are opt-in, and both
-// run on a mutex-guarded slow path regardless of the installed
-// transport: reordering, delaying, and acknowledging frames are queue
-// surgery that a lock-free ring cannot express, and a channel whose
-// reliability is being deliberately violated has nothing to gain from
-// a lock-free fast path. Faults and sequence numbers apply per block: a
-// dropped block loses all its tuples, one retransmission recovers all
-// of them.
+// unacknowledged frames) that restores it. Both are opt-in and run on a
+// seq-stamped slow path under the same mutex. Faults and sequence
+// numbers apply per block: a dropped block loses all its tuples, one
+// retransmission recovers all of them. Corruption flips a byte of an
+// encoded frame, and a reliable receiver discards any encoded frame
+// whose checksum fails, so the sender's resend recovers it.
 #ifndef PDATALOG_CORE_CHANNEL_H_
 #define PDATALOG_CORE_CHANNEL_H_
 
@@ -49,27 +50,21 @@
 
 namespace pdatalog {
 
-class TraceRing;  // obs/trace.h; receive-side discard instants
-class Transport;  // core/transport.h; pluggable data movement
+class TraceRing;                   // obs/trace.h; receive-side instants
+enum class TracePhase : uint16_t;  // obs/trace.h
 
-// Single source of truth for the fixed wire encodings' layout
-// (core/wire.cc implements the encoders against these constants;
-// tests/wire_test.cc asserts WireBytes() == EncodeMessage().size()
-// across arities so the byte statistics cannot drift from the real
-// encoder).
-//
-// Legacy per-tuple frame (little-endian):
-//   u32 predicate id | u16 arity | arity * u32 values | u32 checksum
+// Single source of truth for the block frame's layout (core/wire.cc
+// implements the codec against these constants; tests/block_test.cc
+// asserts WireBytes() == EncodeBlock().size() so the byte statistics
+// cannot drift from the real encoder).
 //
 // Block frame (little-endian):
 //   u32 predicate id | u16 (kBlockArityFlag | arity) | u32 count |
 //   count * u32 per column (columnar: column 0's values, then column
 //   1's, ...) | u32 checksum
 //
-// The arity word's high bit distinguishes the two: kBlockArityFlag |
-// arity always exceeds kMaxWireArity, so a legacy decoder rejects a
-// block frame instead of misreading it (and vice versa).
-inline constexpr size_t kWireHeaderBytes = 6;    // u32 predicate + u16 arity
+// The arity word's high bit marks the frame as a block: a header
+// without it is rejected instead of being misread.
 inline constexpr size_t kWireValueBytes = 4;     // u32 per column
 inline constexpr size_t kWireChecksumBytes = 4;  // FNV-1a over the frame
 inline constexpr int kMaxWireArity = 32;
@@ -81,37 +76,37 @@ inline constexpr size_t kBlockHeaderBytes = 10;
 // growth against a corrupted count field that beat the checksum.
 inline constexpr uint32_t kMaxBlockTuples = 1u << 20;
 
-constexpr size_t MessageWireBytes(int arity) {
-  return kWireHeaderBytes + static_cast<size_t>(arity) * kWireValueBytes +
-         kWireChecksumBytes;
-}
-
 constexpr size_t BlockWireBytes(int arity, uint32_t count) {
   return kBlockHeaderBytes +
          static_cast<size_t>(arity) * count * kWireValueBytes +
          kWireChecksumBytes;
 }
 
-// One tuple of a derived predicate in flight on a channel (legacy unit;
-// kept for tests and for callers that deal in single tuples).
-struct Message {
-  Symbol predicate;
-  Tuple tuple;
-
-  size_t WireBytes() const { return MessageWireBytes(tuple.arity()); }
-};
+// The final-pooling cost model's per-tuple unit (ParallelResult::
+// pooling_bytes): a u32 predicate + u16 arity header, the values, and a
+// checksum, i.e. one tuple shipped on its own.
+constexpr size_t TupleWireBytes(int arity) {
+  return 6 + static_cast<size_t>(arity) * kWireValueBytes +
+         kWireChecksumBytes;
+}
 
 // A run of same-predicate tuples shipped as one frame. Send-side blocks
 // accumulate row-major (append order) and the wire encoder transposes
 // to the columnar layout; decoded blocks keep the wire's column-major
 // layout (`columnar` set) so the receive path can append them to the
 // column store without ever re-rowifying.
+//
+// In serialized mode the frame travels as its EncodeBlock bytes in
+// `encoded` instead: `count` still holds the tuple count (for the
+// channel's accounting), the other fields are unset, and the receiver
+// decodes the bytes (core/wire.h).
 struct TupleBlock {
   Symbol predicate = 0;
   int arity = 0;
   uint32_t count = 0;
-  bool columnar = false;      // layout of `values`; false = row-major
-  std::vector<Value> values;  // count * arity
+  bool columnar = false;         // layout of `values`; false = row-major
+  std::vector<Value> values;     // count * arity
+  std::vector<uint8_t> encoded;  // non-empty: an encoded frame
 
   void Append(const Value* vals, int n) {
     assert(!columnar);
@@ -128,75 +123,45 @@ struct TupleBlock {
     assert(!columnar);
     return values.data() + static_cast<size_t>(r) * arity;
   }
-  size_t WireBytes() const { return BlockWireBytes(arity, count); }
+  size_t WireBytes() const {
+    return encoded.empty() ? BlockWireBytes(arity, count) : encoded.size();
+  }
   // Keeps capacity for the next accumulation cycle.
   void Reset() {
     count = 0;
     columnar = false;
     values.clear();
+    encoded.clear();
   }
 };
 
 // A single directed channel. Each channel has exactly one sending
-// worker and one receiving worker in the engine; the installed
-// Transport carries the frames between them (the default mutex backend
-// also tolerates multiple senders, which the stress tests exercise).
+// worker and one receiving worker in the engine (the queue also
+// tolerates multiple senders, which the stress tests exercise).
 // Accounting counters are atomics incremented on the send side and read
-// from anywhere, so the fast path takes no channel lock at all; mutex_
-// guards only the fault/retransmit slow-path state.
+// from anywhere; mutex_ guards the in-flight frames of both paths.
 class Channel {
  public:
-  Channel();   // installs the default mutex transport
-  ~Channel();
+  Channel() = default;
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
-
-  // Legacy single-tuple send: wraps the message into a one-tuple block
-  // frame. Byte accounting uses the legacy per-message layout so
-  // existing per-tuple statistics stay exact.
-  void Send(Message message);
-
-  // Sends a whole batch, one block frame per message; backends with
-  // batch publication make the entire batch visible to the receiver
-  // with a single index store (`batch` keeps its capacity for the next
-  // round).
-  void SendBatch(std::vector<Message>* batch);
 
   // Enqueues one block as one frame: one publication, one sequence
   // number, one fault-injection decision for all `block.count` tuples.
   void SendBlock(TupleBlock block);
 
-  // Moves all pending (deliverable) blocks into `out` (appending).
-  // Returns the number of *tuples* drained — in retransmit mode this
-  // counts only newly delivered logical tuples, never duplicates.
+  // Moves all pending (deliverable) frames into `out` (appending), in
+  // send order on the fast path. Returns the number of *tuples* drained
+  // — in retransmit mode this counts only newly delivered logical
+  // tuples, never duplicates. A reliable channel discards encoded
+  // frames whose checksum fails instead of surfacing them.
   size_t DrainBlocks(std::vector<TupleBlock>* out);
-
-  // Legacy drain: explodes blocks back into per-tuple messages.
-  // Returns the number of tuples drained.
-  size_t Drain(std::vector<Message>* out);
-
-  // Serialized (message-passing) mode: enqueue one encoded frame
-  // carrying `tuples` tuples (a block frame, or a legacy single-message
-  // frame with the default).
-  void SendBytes(std::vector<uint8_t> bytes, uint32_t tuples = 1);
-
-  // Drains all deliverable encoded frames (appending). Returns the
-  // number of frames drained. In retransmit mode, frames whose checksum
-  // the injector broke are discarded here (and later retransmitted by
-  // the sender) instead of being surfaced.
-  size_t DrainBytes(std::vector<std::vector<uint8_t>>* out);
 
   // Whether anything is drainable now or will become drainable without
   // sender action (delayed frames count; out-of-order frames held back
   // by a lost predecessor do not — those need a retransmit).
   bool HasPending() const;
-
-  // --- transport (configure before the run) ---
-
-  // Replaces the data-movement backend. Nothing may be in flight.
-  void set_transport(std::unique_ptr<Transport> transport);
-  Transport* transport() { return transport_.get(); }
 
   // --- fault injection / retransmit (configure before the run) ---
 
@@ -235,10 +200,10 @@ class Channel {
   // run on the sender's thread and drains on the receiver's, so both
   // keep the single-writer invariant. Flow identity is (from, to,
   // per-channel frame index); nothing changes on the wire. The send
-  // instant is recorded before the frame is published and the receive
-  // instant after it is drained, so the transport's happens-before
-  // publication edge keeps send ts < recv ts without any lock. Only the
-  // default fast path emits flows: once faults or retransmit are
+  // instant is recorded before the frame is enqueued and the receive
+  // instant after it is drained, so the queue lock's happens-before
+  // edge keeps send ts < recv ts. Only the default fast path emits
+  // flows: once faults or retransmit are
   // configured, delivery order no longer matches the frame counter
   // (drops, duplicates, reordering), so flows are suppressed there.
   void set_flow_trace(int from, int to, TraceRing* send_ring,
@@ -279,10 +244,8 @@ class Channel {
     uint64_t deliver_next = 0;  // receiver: next in-order seq (= ack)
     uint64_t drain_calls = 0;   // receiver: poll clock for delays
 
-    // Seq-stamped in-flight queues (the slow path bypasses the
-    // transport entirely).
+    // Seq-stamped in-flight frames.
     std::vector<std::pair<uint64_t, TupleBlock>> queue;
-    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> byte_queue;
 
     // Delayed frames, released once drain_calls reaches release_at.
     struct DelayedBlock {
@@ -290,60 +253,40 @@ class Channel {
       TupleBlock block;
       uint64_t release_at;
     };
-    struct DelayedBytes {
-      uint64_t seq;
-      std::vector<uint8_t> bytes;
-      uint64_t release_at;
-    };
     std::vector<DelayedBlock> delayed;
-    std::vector<DelayedBytes> delayed_bytes;
 
     // Receiver: frames ahead of a gap (reliable mode only).
     std::map<uint64_t, TupleBlock> ahead;
-    std::map<uint64_t, std::vector<uint8_t>> ahead_bytes;
 
     // Sender: copies awaiting acknowledgement (reliable mode only).
     std::deque<std::pair<uint64_t, TupleBlock>> unacked;
-    std::deque<std::pair<uint64_t, std::vector<uint8_t>>> unacked_bytes;
 
     FaultCounters counters;
   };
-
-  static TupleBlock BlockOfOne(Message message) {
-    TupleBlock block;
-    block.predicate = message.predicate;
-    block.arity = message.tuple.arity();
-    block.Append(message.tuple.data(), message.tuple.arity());
-    return block;
-  }
 
   Extras& EnsureExtras();
   // Flow-instant emitters for the fault-free fast path. `frame` is the
   // frame's index (the value total_frames_ held before that frame was
   // counted). NoteFlowSend runs on the sender's thread before the frame
-  // is published; NoteFlowRecv on the receiver's thread after the
-  // drain. delivered_frames_ is receiver-only state; the trace/endpoint
+  // is enqueued; NoteFlowRecv on the receiver's thread after the drain.
+  // delivered_frames_ is receiver-only state; the trace/endpoint
   // pointers are configured before the run starts.
   void NoteFlowSend(uint64_t frame);
   void NoteFlowRecv(size_t frames);
   // Seq-stamping/fault-injecting slow path (mutex_ held). Accounting
-  // (total_sent_/total_bytes_/total_frames_) happens in the public
-  // callers, before the block is visible to the receiver.
+  // (total_sent_/total_bytes_/total_frames_) happens in SendBlock,
+  // before the block is visible to the receiver.
   void EnqueueBlockLocked(TupleBlock block);
-  void SendBytesLocked(std::vector<uint8_t> bytes);
-  size_t DrainBlocksLocked(std::vector<TupleBlock>* out);
-  size_t DrainBytesLocked(std::vector<std::vector<uint8_t>>* out);
-  bool HasPendingLocked() const;
+  void DrainBlocksLocked(std::vector<TupleBlock>* out);
   void ReleaseMatureLocked();
   // Delivers one in-order frame and flushes any directly following
-  // frames buffered in ahead/ahead_bytes.
+  // frames buffered in `ahead`.
   void DeliverBlockLocked(TupleBlock block, std::vector<TupleBlock>* out);
-  void DeliverBytesLocked(std::vector<uint8_t> bytes,
-                          std::vector<std::vector<uint8_t>>* out,
-                          size_t* delivered);
+  // Counts a discarded frame and marks it on the receiver's ring.
+  void NoteDiscardLocked(uint64_t* counter, TracePhase phase);
 
-  mutable std::mutex mutex_;  // slow-path (Extras) state only
-  std::unique_ptr<Transport> transport_;
+  mutable std::mutex mutex_;      // queue_ and the Extras state
+  std::vector<TupleBlock> queue_;  // fast path: frames in send order
   std::unique_ptr<Extras> fx_;
   TraceRing* recv_trace_ = nullptr;  // receiver's ring (drain instants)
   TraceRing* send_trace_ = nullptr;  // sender's ring (flow sends)
@@ -352,7 +295,7 @@ class Channel {
   uint64_t delivered_frames_ = 0;  // fast-path frames drained so far
   std::atomic<uint64_t> total_sent_{0};    // tuples
   std::atomic<uint64_t> total_bytes_{0};   // wire bytes
-  std::atomic<uint64_t> total_frames_{0};  // frames (blocks or encoded)
+  std::atomic<uint64_t> total_frames_{0};  // frames
 };
 
 // The full P x P channel matrix. channel(i, j) carries data from

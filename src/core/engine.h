@@ -25,7 +25,7 @@ struct ParallelOptions {
   // false: deterministic round-robin scheduling of the same workers in
   // the calling thread; used by tests to get reproducible interleavings.
   bool use_threads = true;
-  // true: realize the channels by message passing — every tuple is
+  // true: realize the channels by message passing — every block is
   // encoded to bytes on send and decoded on receipt (core/wire.h) —
   // instead of moving objects through shared memory. Same results,
   // slightly slower; exists to validate the paper's "either shared
@@ -42,17 +42,6 @@ struct ParallelOptions {
   // deliver in order exactly once. Makes the fixpoint exact under drop/
   // duplicate/reorder/corrupt/delay faults.
   bool retransmit = false;
-  // Data-movement backend for the channel fast path (core/transport.h).
-  // kMutex is the reference lock-append queue; kSpsc installs a bounded
-  // lock-free SPSC ring per (sender, receiver) pair. Fault injection
-  // and retransmit always run on the mutex-guarded slow path, so under
-  // --faults the two backends are behaviorally identical by
-  // construction; the ring pays off on the fault-free fast path.
-  TransportKind transport = TransportKind::kMutex;
-  // SPSC ring capacity in frames; 0 auto-scales with the processor
-  // count (P*P channels own two rings each, so capacity shrinks as the
-  // topology grows). Ignored by the mutex backend.
-  int transport_ring_frames = 0;
   // Flush threshold for the block-oriented wire protocol: each worker
   // accumulates outgoing tuples per (destination, predicate) and ships
   // one frame per block — at the end of the round, or mid-round once a
@@ -118,8 +107,8 @@ struct ParallelResult {
 
   // Work-model makespan: max over processors of
   //   firings_i * cpu_cost + (received_cross_i) * net_cost.
-  // The container this reproduction runs on is single-core, so modeled
-  // makespan (not wall time) is the scaling metric (see DESIGN.md).
+  // Wall-clock time on a multi-core host is the scaling metric; the
+  // modeled makespan explains it in work units (see DESIGN.md).
   double ModeledMakespan(double cpu_cost, double net_cost) const;
 };
 

@@ -227,6 +227,14 @@ std::vector<CriticalPathSegment> WalkCriticalPath(
     }
   }
   std::reverse(path.begin(), path.end());
+  // A segment entered over a flow edge would otherwise start at its
+  // busy interval's begin, which can precede the send it waited for:
+  // clip every segment to start no earlier than the previous hop ends.
+  // Segment ends never decrease along the path, so clipping keeps
+  // begin <= end and makes the segments time-ordered and disjoint.
+  for (size_t k = 1; k < path.size(); ++k) {
+    path[k].begin_ns = std::max(path[k].begin_ns, path[k - 1].end_ns);
+  }
   // Coalesce consecutive same-worker segments linked by program order
   // (empty drains during idle polling otherwise shred the chain).
   std::vector<CriticalPathSegment> merged;

@@ -257,5 +257,35 @@ TEST(AnalyzeTest, RealRunCriticalPathIsWellFormed) {
   EXPECT_LE(report.critical_path_ns, report.span_ns);
 }
 
+// A threaded P=4 run long enough that receivers are busy well before
+// the frames they consume are sent: the walk must still emit
+// time-ordered, disjoint segments whose sum fits inside the span.
+TEST(AnalyzeTest, ThreadedCriticalPathSegmentsAreDisjoint) {
+  auto setup = MakeAncestorSetup();
+  GenRandomGraph(&setup->symbols, &setup->edb, "par", 400, 800, 7);
+  const int P = 4;
+  RewriteBundle bundle =
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, P);
+
+  Tracer tracer(P);
+  ParallelOptions options;
+  options.tracer = &tracer;
+  StatusOr<ParallelResult> result =
+      RunParallel(bundle, &setup->edb, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  ProfileReport report = AnalyzeRun(tracer, MakeProfileContext(*result));
+  ASSERT_EQ(report.dropped, 0u);
+  const std::vector<CriticalPathSegment>& seg = report.critical_path;
+  ASSERT_FALSE(seg.empty());
+  for (size_t k = 0; k < seg.size(); ++k) {
+    EXPECT_LE(seg[k].begin_ns, seg[k].end_ns) << "segment " << k;
+    if (k > 0) {
+      EXPECT_GE(seg[k].begin_ns, seg[k - 1].end_ns) << "segment " << k;
+    }
+  }
+  EXPECT_LE(report.critical_path_ns, report.span_ns);
+}
+
 }  // namespace
 }  // namespace pdatalog

@@ -128,7 +128,8 @@ TEST(BlockWireTest, WireLayoutIsColumnar) {
 }
 
 TEST(BlockWireTest, FramesConcatenate) {
-  // The receive loop decodes frames back to back from one buffer.
+  // Back-to-back frames in one buffer decode one by one: the offset
+  // lands exactly on the next frame.
   std::vector<uint8_t> bytes;
   TupleBlock a = MakeBlock(1, 2, 5);
   TupleBlock b = MakeBlock(2, 3, 1);
@@ -174,21 +175,17 @@ TEST(BlockWireTest, EveryBitFlipDetected) {
   }
 }
 
-TEST(BlockWireTest, FormatsAreMutuallyUnintelligible) {
-  // A legacy frame has no block marker; a block frame's flagged arity
-  // exceeds the legacy limit. Neither decoder misreads the other.
-  std::vector<uint8_t> legacy;
-  ASSERT_TRUE(EncodeMessage(Message{5, Tuple{1, 2}}, &legacy).ok());
+TEST(BlockWireTest, NonBlockFrameRejected) {
+  // A header without the block marker (here: a per-tuple layout, u32
+  // predicate | u16 arity 2 | values) is rejected, not misread.
+  std::vector<uint8_t> bytes = {5, 0, 0, 0, 2, 0, 1, 0, 0, 0, 2, 0, 0, 0,
+                                0, 0, 0, 0};
   size_t offset = 0;
   TupleBlock decoded;
-  Status status = DecodeBlockInto(legacy, &offset, &decoded);
+  Status status = DecodeBlockInto(bytes, &offset, &decoded);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("not a tuple block"), std::string::npos);
-
-  std::vector<uint8_t> framed;
-  ASSERT_TRUE(EncodeBlock(MakeBlock(5, 2, 3), &framed).ok());
-  offset = 0;
-  EXPECT_FALSE(DecodeMessage(framed, &offset).ok());
+  EXPECT_EQ(offset, 0u);
 }
 
 TEST(BlockWireTest, EncodeRejectsMalformedBlocks) {
@@ -398,21 +395,23 @@ TEST(BlockChannelTest, CorruptedSerializedBlockDiscardedThenRecovered) {
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
   TupleBlock block = MakeBlock(1, 2, 6);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
-  channel.SendBytes(bytes, block.count);
+  TupleBlock frame;
+  frame.count = block.count;
+  ASSERT_TRUE(EncodeBlock(block, &frame.encoded).ok());
+  channel.SendBlock(std::move(frame));
   EXPECT_EQ(channel.total_sent(), 6u);
-  std::vector<std::vector<uint8_t>> frames;
+  std::vector<TupleBlock> frames;
   // The injector flipped a byte; the reliable receiver discards the
   // frame instead of surfacing it.
-  EXPECT_EQ(channel.DrainBytes(&frames), 0u);
+  EXPECT_EQ(channel.DrainBlocks(&frames), 0u);
   EXPECT_EQ(channel.fault_counters().corrupt_discarded, 1u);
   // The resend bypasses injection and arrives intact.
   EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  ASSERT_EQ(channel.DrainBytes(&frames), 1u);
+  ASSERT_EQ(channel.DrainBlocks(&frames), 6u);
+  ASSERT_EQ(frames.size(), 1u);
   size_t offset = 0;
   TupleBlock decoded;
-  ASSERT_TRUE(DecodeBlockInto(frames[0], &offset, &decoded).ok());
+  ASSERT_TRUE(DecodeBlockInto(frames[0].encoded, &offset, &decoded).ok());
   ExpectSameTuples(decoded, block);
 }
 

@@ -1,21 +1,15 @@
 // Concurrency stress for the channel substrate: many senders racing one
-// drainer must lose no messages, and the monotone total_sent /
-// total_bytes counters must come out exact — the termination detector
-// (Mattern counting) relies on exactly this agreement. The first tests
-// run on the default mutex transport (the only backend that tolerates
-// multiple senders); the Spsc* tests install the lock-free ring and
-// stress its single-producer/single-consumer contract: wraparound far
-// past capacity, full-ring backpressure that blocks without dropping,
-// and frame integrity under TSan (a torn frame would surface as a data
-// race on the slot, because publication is a single release store).
-#include <atomic>
-#include <chrono>
+// drainer must lose no frames, and the monotone total_sent /
+// total_bytes / total_frames counters must come out exact — the
+// termination detector (Mattern counting) relies on exactly this
+// agreement. Under TSan these also check that frame contents cross the
+// queue without a data race.
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "core/channel.h"
-#include "core/transport.h"
+#include "core/wire.h"
 #include "gtest/gtest.h"
 
 namespace pdatalog {
@@ -60,21 +54,23 @@ TEST(ChannelStressTest, ManySendersOneDrainerLosesNothing) {
   for (int s = 0; s < kSenders; ++s) {
     senders.emplace_back([&channel, s] {
       for (int i = 0; i < kPerSender; ++i) {
-        Message m;
-        m.predicate = static_cast<Symbol>(s);
-        m.tuple = Tuple{static_cast<Value>(s), static_cast<Value>(i)};
-        channel.Send(std::move(m));
+        TupleBlock block;
+        block.predicate = static_cast<Symbol>(s);
+        block.arity = 2;
+        Value row[2] = {static_cast<Value>(s), static_cast<Value>(i)};
+        block.Append(row, 2);
+        channel.SendBlock(std::move(block));
       }
     });
   }
 
   // Drain concurrently with the senders, like a worker's round loop.
-  std::vector<Message> received;
+  std::vector<TupleBlock> received;
   while (received.size() < static_cast<size_t>(kSenders) * kPerSender) {
-    channel.Drain(&received);
+    channel.DrainBlocks(&received);
   }
   for (std::thread& t : senders) t.join();
-  channel.Drain(&received);  // nothing should be left
+  channel.DrainBlocks(&received);  // nothing should be left
   ASSERT_EQ(received.size(), static_cast<size_t>(kSenders) * kPerSender);
 
   // Every (sender, sequence) pair arrives exactly once, in per-sender
@@ -83,14 +79,14 @@ TEST(ChannelStressTest, ManySendersOneDrainerLosesNothing) {
                                       std::vector<bool>(kPerSender, false));
   std::vector<int> last(kSenders, -1);
   uint64_t wire_bytes = 0;
-  for (const Message& m : received) {
-    int s = static_cast<int>(m.predicate);
-    int i = static_cast<int>(m.tuple[1]);
+  for (const TupleBlock& b : received) {
+    int s = static_cast<int>(b.predicate);
+    int i = static_cast<int>(b.value(0, 1));
     EXPECT_FALSE(seen[s][i]) << "duplicate (" << s << ", " << i << ")";
     seen[s][i] = true;
     EXPECT_GT(i, last[s]) << "reordered within sender " << s;
     last[s] = i;
-    wire_bytes += m.WireBytes();
+    wire_bytes += b.WireBytes();
   }
   EXPECT_EQ(channel.total_sent(),
             static_cast<uint64_t>(kSenders) * kPerSender);
@@ -99,39 +95,41 @@ TEST(ChannelStressTest, ManySendersOneDrainerLosesNothing) {
 }
 
 TEST(ChannelStressTest, BatchedSendersCountExactly) {
+  // Multi-tuple blocks of varying size from racing senders: the tuple
+  // counter must sum block counts, the frame counter must count blocks,
+  // and every cell must arrive intact.
   constexpr int kSenders = 6;
-  constexpr int kBatches = 200;
-  constexpr int kBatchSize = 25;
+  constexpr int kBlocks = 200;
   Channel channel;
 
   std::vector<std::thread> senders;
   for (int s = 0; s < kSenders; ++s) {
     senders.emplace_back([&channel, s] {
-      std::vector<Message> batch;
-      for (int b = 0; b < kBatches; ++b) {
-        for (int i = 0; i < kBatchSize; ++i) {
-          Message m;
-          m.predicate = static_cast<Symbol>(s);
-          m.tuple = Tuple{static_cast<Value>(b), static_cast<Value>(i)};
-          batch.push_back(std::move(m));
-        }
-        channel.SendBatch(&batch);
-        EXPECT_TRUE(batch.empty());  // flushed, capacity retained
+      for (int b = 0; b < kBlocks; ++b) {
+        channel.SendBlock(PatternBlock(static_cast<uint32_t>(s * kBlocks + b),
+                                       /*arity=*/3, /*count=*/(b % 25) + 1));
       }
     });
   }
 
-  std::vector<Message> received;
-  const size_t expect =
-      static_cast<size_t>(kSenders) * kBatches * kBatchSize;
-  while (received.size() < expect) channel.Drain(&received);
+  std::vector<TupleBlock> received;
+  const size_t expect_frames = static_cast<size_t>(kSenders) * kBlocks;
+  while (received.size() < expect_frames) channel.DrainBlocks(&received);
   for (std::thread& t : senders) t.join();
-  channel.Drain(&received);
-  ASSERT_EQ(received.size(), expect);
+  channel.DrainBlocks(&received);
+  ASSERT_EQ(received.size(), expect_frames);
 
+  uint64_t tuples = 0;
   uint64_t wire_bytes = 0;
-  for (const Message& m : received) wire_bytes += m.WireBytes();
-  EXPECT_EQ(channel.total_sent(), expect);
+  for (const TupleBlock& b : received) {
+    // PatternBlock's cell (0, 0) is seq * 31, which recovers the seq.
+    uint32_t seq = b.value(0, 0) / 31;
+    CheckPatternBlock(b, seq, 3, (seq % kBlocks) % 25 + 1);
+    tuples += b.count;
+    wire_bytes += b.WireBytes();
+  }
+  EXPECT_EQ(channel.total_sent(), tuples);
+  EXPECT_EQ(channel.total_frames(), expect_frames);
   EXPECT_EQ(channel.total_bytes(), wire_bytes);
 }
 
@@ -152,27 +150,30 @@ TEST(ChannelStressTest, ReliableChannelRecoversUnderConcurrentFaults) {
 
   std::thread sender([&channel] {
     for (int i = 0; i < kMessages; ++i) {
-      channel.Send(Message{1, Tuple{static_cast<Value>(i), 0}});
+      channel.SendBlock(PatternBlock(i, /*arity=*/2, /*count=*/1));
       if ((i & 63) == 0) channel.RetransmitUnacked();
     }
   });
 
-  std::vector<Message> received;
+  std::vector<TupleBlock> received;
   while (received.size() < kMessages) {
-    if (channel.Drain(&received) == 0) channel.RetransmitUnacked();
+    if (channel.DrainBlocks(&received) == 0) channel.RetransmitUnacked();
   }
   sender.join();
-  channel.Drain(&received);
+  channel.DrainBlocks(&received);
   ASSERT_EQ(received.size(), static_cast<size_t>(kMessages));
   for (int i = 0; i < kMessages; ++i) {
-    EXPECT_EQ(received[i].tuple[0], static_cast<Value>(i)) << "at " << i;
+    CheckPatternBlock(received[i], i, 2, 1);
   }
   EXPECT_EQ(channel.total_sent(), static_cast<uint64_t>(kMessages));
   EXPECT_TRUE(channel.fault_counters().any());
   EXPECT_EQ(channel.RetransmitUnacked(), 0u);  // everything acknowledged
 }
 
-TEST(ChannelStressTest, SerializedModeCountsDecodedMessages) {
+TEST(ChannelStressTest, SerializedModeCountsDecodedTuples) {
+  // Encoded frames share the queue with value blocks: racing senders'
+  // frames must all arrive byte-identical, and the tuple counter must
+  // carry the count each sender declared, not one per frame.
   constexpr int kSenders = 4;
   constexpr int kPerSender = 2000;
   Channel channel;
@@ -181,172 +182,39 @@ TEST(ChannelStressTest, SerializedModeCountsDecodedMessages) {
   for (int s = 0; s < kSenders; ++s) {
     senders.emplace_back([&channel, s] {
       for (int i = 0; i < kPerSender; ++i) {
-        // Encoding is irrelevant here; each byte vector is one message.
-        std::vector<uint8_t> bytes(6 + 8, static_cast<uint8_t>(s));
-        channel.SendBytes(std::move(bytes));
+        uint32_t seq = static_cast<uint32_t>(s * kPerSender + i);
+        TupleBlock frame;
+        frame.count = (i % 4) + 1;
+        ASSERT_TRUE(
+            EncodeBlock(PatternBlock(seq, 2, frame.count), &frame.encoded)
+                .ok());
+        channel.SendBlock(std::move(frame));
       }
     });
   }
 
-  std::vector<std::vector<uint8_t>> received;
+  std::vector<TupleBlock> received;
   const size_t expect = static_cast<size_t>(kSenders) * kPerSender;
-  while (received.size() < expect) channel.DrainBytes(&received);
+  while (received.size() < expect) channel.DrainBlocks(&received);
   for (std::thread& t : senders) t.join();
-  channel.DrainBytes(&received);
+  channel.DrainBlocks(&received);
   ASSERT_EQ(received.size(), expect);
 
   uint64_t bytes = 0;
-  for (const auto& b : received) bytes += b.size();
-  EXPECT_EQ(channel.total_sent(), expect);
-  EXPECT_EQ(channel.total_bytes(), bytes);
-  EXPECT_FALSE(channel.HasPending());
-}
-
-TEST(ChannelStressTest, SpscRingWrapsAroundAtCapacity) {
-  // A tiny ring forces the indices to wrap hundreds of times; per-frame
-  // FIFO order and content must survive every wrap.
-  constexpr int kFrames = 5000;
-  Channel channel;
-  TransportOptions opts;
-  opts.ring_frames = 8;
-  channel.set_transport(MakeTransport(TransportKind::kSpsc, opts));
-
-  std::thread producer([&channel] {
-    for (int seq = 0; seq < kFrames; ++seq) {
-      channel.SendBlock(
-          PatternBlock(seq, /*arity=*/3, /*count=*/(seq % 5) + 1));
-    }
-  });
-
-  std::vector<TupleBlock> received;
-  while (received.size() < kFrames) channel.DrainBlocks(&received);
-  producer.join();
-  channel.DrainBlocks(&received);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kFrames));
-
   uint64_t tuples = 0;
-  uint64_t wire_bytes = 0;
-  for (int seq = 0; seq < kFrames; ++seq) {
-    CheckPatternBlock(received[seq], seq, 3, (seq % 5) + 1);
-    tuples += received[seq].count;
-    wire_bytes += received[seq].WireBytes();
+  TupleBlock decoded;
+  for (const TupleBlock& frame : received) {
+    size_t offset = 0;
+    ASSERT_TRUE(DecodeBlockInto(frame.encoded, &offset, &decoded).ok());
+    EXPECT_EQ(offset, frame.encoded.size());
+    EXPECT_EQ(decoded.count, frame.count);
+    uint32_t seq = decoded.value(0, 0) / 31;
+    CheckPatternBlock(decoded, seq, 2, (seq % kPerSender) % 4 + 1);
+    bytes += frame.encoded.size();
+    tuples += frame.count;
   }
-  EXPECT_EQ(channel.total_frames(), static_cast<uint64_t>(kFrames));
   EXPECT_EQ(channel.total_sent(), tuples);
-  EXPECT_EQ(channel.total_bytes(), wire_bytes);
-  EXPECT_FALSE(channel.HasPending());
-}
-
-TEST(ChannelStressTest, SpscFullRingBackpressureBlocksWithoutDropping) {
-  // With no consumer, the producer must fill the ring and then *block*
-  // — progress plateaus exactly at capacity, nothing is dropped — and
-  // resume the moment draining starts.
-  constexpr int kCapacity = 16;
-  constexpr int kFrames = 64;
-  Channel channel;
-  TransportOptions opts;
-  opts.ring_frames = kCapacity;
-  opts.max_sleep_us = 64;  // keep the blocked producer responsive
-  channel.set_transport(MakeTransport(TransportKind::kSpsc, opts));
-
-  std::atomic<int> sent{0};
-  std::thread producer([&channel, &sent] {
-    for (int seq = 0; seq < kFrames; ++seq) {
-      channel.SendBlock(PatternBlock(seq, /*arity=*/2, /*count=*/1));
-      sent.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  // The producer completes exactly kCapacity sends, then blocks inside
-  // send kCapacity+1. Give it real time to (wrongly) run ahead.
-  while (sent.load(std::memory_order_relaxed) < kCapacity) {
-    std::this_thread::yield();
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(sent.load(std::memory_order_relaxed), kCapacity)
-      << "producer ran past a full ring";
-
-  // Release the backpressure; every frame must come out, in order.
-  std::vector<TupleBlock> received;
-  while (received.size() < kFrames) channel.DrainBlocks(&received);
-  producer.join();
-  channel.DrainBlocks(&received);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kFrames));
-  for (int seq = 0; seq < kFrames; ++seq) {
-    CheckPatternBlock(received[seq], seq, 2, 1);
-  }
-  EXPECT_EQ(channel.total_frames(), static_cast<uint64_t>(kFrames));
-  EXPECT_FALSE(channel.HasPending());
-}
-
-TEST(ChannelStressTest, SpscFramesAreNeverTorn) {
-  // Torn-frame check, designed for TSan: the consumer validates every
-  // cell of every frame while the producer races around a 4-slot ring.
-  // Publication is a single release store of the tail index, so a
-  // consumer reading a half-written slot would be a data race TSan
-  // reports; without TSan this still catches value-level tearing.
-  constexpr int kFrames = 3000;
-  Channel channel;
-  TransportOptions opts;
-  opts.ring_frames = 4;
-  channel.set_transport(MakeTransport(TransportKind::kSpsc, opts));
-
-  std::thread producer([&channel] {
-    for (int seq = 0; seq < kFrames; ++seq) {
-      channel.SendBlock(
-          PatternBlock(seq, /*arity=*/4, /*count=*/(seq % 8) + 1));
-    }
-  });
-
-  size_t validated = 0;
-  std::vector<TupleBlock> scratch;
-  while (validated < kFrames) {
-    scratch.clear();
-    channel.DrainBlocks(&scratch);
-    for (const TupleBlock& block : scratch) {
-      const uint32_t seq = static_cast<uint32_t>(validated);
-      CheckPatternBlock(block, seq, 4, (seq % 8) + 1);
-      ++validated;
-    }
-  }
-  producer.join();
-  EXPECT_EQ(validated, static_cast<size_t>(kFrames));
-  EXPECT_EQ(channel.total_frames(), static_cast<uint64_t>(kFrames));
-  EXPECT_FALSE(channel.HasPending());
-}
-
-TEST(ChannelStressTest, SpscSerializedBytesPathKeepsOrder) {
-  // The byte-frame ring (serialized channels) has the same contract as
-  // the block ring: FIFO, lossless, exact frame accounting.
-  constexpr int kFrames = 4000;
-  Channel channel;
-  TransportOptions opts;
-  opts.ring_frames = 8;
-  channel.set_transport(MakeTransport(TransportKind::kSpsc, opts));
-
-  std::thread producer([&channel] {
-    for (int seq = 0; seq < kFrames; ++seq) {
-      std::vector<uint8_t> bytes(6 + (seq % 32),
-                                 static_cast<uint8_t>(seq & 0xFF));
-      channel.SendBytes(std::move(bytes));
-    }
-  });
-
-  std::vector<std::vector<uint8_t>> received;
-  while (received.size() < kFrames) channel.DrainBytes(&received);
-  producer.join();
-  channel.DrainBytes(&received);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kFrames));
-
-  uint64_t bytes = 0;
-  for (int seq = 0; seq < kFrames; ++seq) {
-    ASSERT_EQ(received[seq].size(), static_cast<size_t>(6 + (seq % 32)));
-    for (uint8_t b : received[seq]) {
-      ASSERT_EQ(b, static_cast<uint8_t>(seq & 0xFF)) << "torn at " << seq;
-    }
-    bytes += received[seq].size();
-  }
-  EXPECT_EQ(channel.total_frames(), static_cast<uint64_t>(kFrames));
+  EXPECT_EQ(channel.total_frames(), expect);
   EXPECT_EQ(channel.total_bytes(), bytes);
   EXPECT_FALSE(channel.HasPending());
 }

@@ -184,7 +184,7 @@ TEST(EngineExtraTest, PoolingCostAccounted) {
       result->out_tuples_total - result->workers[0].out_inserted;
   EXPECT_EQ(result->pooling_messages, remote_out);
   EXPECT_EQ(result->pooling_bytes,
-            remote_out * MessageWireBytes(2));  // arity-2 tuples
+            remote_out * TupleWireBytes(2));  // arity-2 tuples
 }
 
 TEST(EngineExtraTest, SingleProcessorPoolingIsFree) {

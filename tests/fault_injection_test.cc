@@ -69,14 +69,31 @@ TEST(FaultInjectorTest, ZeroSpecAlwaysDelivers) {
 // action deterministic without relying on the seed).
 // ---------------------------------------------------------------------
 
+// A one-tuple block of predicate 1.
+TupleBlock Block(std::vector<Value> row) {
+  TupleBlock block;
+  block.predicate = 1;
+  block.arity = static_cast<int>(row.size());
+  block.Append(row.data(), block.arity);
+  return block;
+}
+
+// The serialized-mode frame of `block`: its EncodeBlock bytes.
+TupleBlock Encoded(const TupleBlock& block) {
+  TupleBlock frame;
+  frame.count = block.count;
+  EXPECT_TRUE(EncodeBlock(block, &frame.encoded).ok());
+  return frame;
+}
+
 TEST(FaultChannelTest, DropLosesEveryMessage) {
   Channel channel;
   FaultSpec spec;
   spec.drop = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  for (Value i = 0; i < 5; ++i) channel.Send(Message{1, Tuple{i, i}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 0u);
+  for (Value i = 0; i < 5; ++i) channel.SendBlock(Block({i, i}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
   EXPECT_FALSE(channel.HasPending());
   // Logical sends still count (the termination detector must see the
   // imbalance a loss creates).
@@ -89,9 +106,9 @@ TEST(FaultChannelTest, DuplicateDeliversTwiceWithoutRetransmit) {
   FaultSpec spec;
   spec.duplicate = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.Send(Message{1, Tuple{7, 8}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 2u);
+  channel.SendBlock(Block({7, 8}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 2u);
   EXPECT_EQ(channel.fault_counters().duplicated, 1u);
 }
 
@@ -101,10 +118,10 @@ TEST(FaultChannelTest, ReliableChannelDiscardsDuplicates) {
   spec.duplicate = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.Send(Message{1, Tuple{7, 8}});
-  channel.Send(Message{1, Tuple{9, 10}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 2u);  // one logical delivery each
+  channel.SendBlock(Block({7, 8}));
+  channel.SendBlock(Block({9, 10}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 2u);  // one logical delivery each
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(channel.fault_counters().duplicates_discarded, 2u);
 }
@@ -114,15 +131,15 @@ TEST(FaultChannelTest, ReorderFlipsDeliveryOrder) {
   FaultSpec spec;
   spec.reorder = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.Send(Message{1, Tuple{1, 0}});
-  channel.Send(Message{1, Tuple{2, 0}});
-  channel.Send(Message{1, Tuple{3, 0}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 3u);
+  channel.SendBlock(Block({1, 0}));
+  channel.SendBlock(Block({2, 0}));
+  channel.SendBlock(Block({3, 0}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 3u);
   ASSERT_EQ(out.size(), 3u);
-  // Every message jumped the queue, so arrival order is reversed.
-  EXPECT_EQ(out[0].tuple[0], 3u);
-  EXPECT_EQ(out[2].tuple[0], 1u);
+  // Every frame jumped the queue, so arrival order is reversed.
+  EXPECT_EQ(out[0].value(0, 0), 3u);
+  EXPECT_EQ(out[2].value(0, 0), 1u);
 }
 
 TEST(FaultChannelTest, ReliableChannelReordersBackInOrder) {
@@ -131,18 +148,18 @@ TEST(FaultChannelTest, ReliableChannelReordersBackInOrder) {
   spec.reorder = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.Send(Message{1, Tuple{1, 0}});
-  channel.Send(Message{1, Tuple{2, 0}});
-  channel.Send(Message{1, Tuple{3, 0}});
-  std::vector<Message> out;
-  size_t delivered = channel.Drain(&out);
+  channel.SendBlock(Block({1, 0}));
+  channel.SendBlock(Block({2, 0}));
+  channel.SendBlock(Block({3, 0}));
+  std::vector<TupleBlock> out;
+  size_t delivered = channel.DrainBlocks(&out);
   while (delivered < 3) {
     channel.RetransmitUnacked();
-    delivered += channel.Drain(&out);
+    delivered += channel.DrainBlocks(&out);
   }
   ASSERT_EQ(out.size(), 3u);
   for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].tuple[0], static_cast<Value>(i + 1));
+    EXPECT_EQ(out[i].value(0, 0), static_cast<Value>(i + 1));
   }
 }
 
@@ -152,14 +169,14 @@ TEST(FaultChannelTest, DelayedFrameStaysPendingThenMatures) {
   spec.delay = 1.0;
   spec.delay_polls = 2;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.Send(Message{1, Tuple{4, 5}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 0u);
+  channel.SendBlock(Block({4, 5}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
   // A delayed frame is in transit, not lost: the channel must still
   // report pending so the receiver keeps polling instead of declaring
   // quiescence.
   EXPECT_TRUE(channel.HasPending());
-  EXPECT_EQ(channel.Drain(&out), 1u);  // matured after delay_polls drains
+  EXPECT_EQ(channel.DrainBlocks(&out), 1u);  // matured after delay_polls
   EXPECT_FALSE(channel.HasPending());
   EXPECT_EQ(channel.fault_counters().delayed, 1u);
 }
@@ -169,13 +186,26 @@ TEST(FaultChannelTest, CorruptByteModeBreaksChecksum) {
   FaultSpec spec;
   spec.corrupt = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(Message{5, Tuple{1, 2}}, &bytes).ok());
-  channel.SendBytes(bytes);
-  std::vector<std::vector<uint8_t>> out;
-  ASSERT_EQ(channel.DrainBytes(&out), 1u);
-  EXPECT_FALSE(FrameChecksumOk(out[0].data(), out[0].size()));
+  channel.SendBlock(Encoded(Block({1, 2})));
+  std::vector<TupleBlock> out;
+  ASSERT_EQ(channel.DrainBlocks(&out), 1u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(FrameChecksumOk(out[0].encoded.data(), out[0].encoded.size()));
   EXPECT_EQ(channel.fault_counters().corrupted, 1u);
+}
+
+TEST(FaultChannelTest, CorruptLeavesValueBlocksIntact) {
+  // A block of decoded values has no bytes to flip: it is delivered
+  // as sent and nothing is counted as corrupted.
+  Channel channel;
+  FaultSpec spec;
+  spec.corrupt = 1.0;
+  channel.ConfigureFaults(spec, 0, 1);
+  channel.SendBlock(Block({1, 2}));
+  std::vector<TupleBlock> out;
+  ASSERT_EQ(channel.DrainBlocks(&out), 1u);
+  EXPECT_EQ(out[0].values, (std::vector<Value>{1, 2}));
+  EXPECT_EQ(channel.fault_counters().corrupted, 0u);
 }
 
 TEST(FaultChannelTest, ReliableChannelRecoversCorruptViaRetransmit) {
@@ -184,18 +214,16 @@ TEST(FaultChannelTest, ReliableChannelRecoversCorruptViaRetransmit) {
   spec.corrupt = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(Message{5, Tuple{1, 2}}, &bytes).ok());
-  channel.SendBytes(bytes);
-  std::vector<std::vector<uint8_t>> out;
+  channel.SendBlock(Encoded(Block({1, 2})));
+  std::vector<TupleBlock> out;
   // The receiver discards the corrupt frame without acknowledging it...
-  EXPECT_EQ(channel.DrainBytes(&out), 0u);
+  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
   EXPECT_EQ(channel.fault_counters().corrupt_discarded, 1u);
   // ...and the sender's retransmission (which bypasses injection)
   // delivers the intact copy.
   EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  ASSERT_EQ(channel.DrainBytes(&out), 1u);
-  EXPECT_TRUE(FrameChecksumOk(out[0].data(), out[0].size()));
+  ASSERT_EQ(channel.DrainBlocks(&out), 1u);
+  EXPECT_TRUE(FrameChecksumOk(out[0].encoded.data(), out[0].encoded.size()));
 }
 
 TEST(FaultChannelTest, RetransmitStopsOnceAcknowledged) {
@@ -204,11 +232,11 @@ TEST(FaultChannelTest, RetransmitStopsOnceAcknowledged) {
   spec.drop = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.Send(Message{1, Tuple{1, 2}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 0u);  // first transmission dropped
+  channel.SendBlock(Block({1, 2}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 0u);  // first transmission dropped
   EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  EXPECT_EQ(channel.Drain(&out), 1u);  // recovered
+  EXPECT_EQ(channel.DrainBlocks(&out), 1u);  // recovered
   // Delivered frames are acknowledged; nothing left to resend.
   EXPECT_EQ(channel.RetransmitUnacked(), 0u);
   EXPECT_EQ(channel.fault_counters().retransmitted, 1u);
