@@ -558,12 +558,15 @@ StatusOr<std::string> RunCli(const CliOptions& options,
       tracer = std::make_unique<Tracer>(1, RingCapacity(options));
     }
     EvalStats stats;
+    EvalOptions eopts;
+    eopts.stratified = options.stratified;
+    if (tracer != nullptr) eopts.trace = tracer->ring(0);
     if (options.incremental) {
       // One-shot run through the maintenance engine: seed its (empty)
       // database with everything loaded into edb, evaluate, and copy
       // the fixpoint back so the dump/save/query paths below see it.
       StatusOr<IncrementalEvaluator> eval =
-          IncrementalEvaluator::Create(*program, info);
+          IncrementalEvaluator::Create(*program, info, eopts);
       if (!eval.ok()) return eval.status();
       for (const auto& [pred, rel] : edb.relations()) {
         if (info.IsDerived(pred)) continue;
@@ -581,9 +584,6 @@ StatusOr<std::string> RunCli(const CliOptions& options,
       }
       out += "mode: sequential incremental\n";
     } else if (options.mode == CliOptions::Mode::kSequential) {
-      EvalOptions eopts;
-      eopts.stratified = options.stratified;
-      if (tracer != nullptr) eopts.trace = tracer->ring(0);
       PDATALOG_RETURN_IF_ERROR(SemiNaiveEvaluate(*program, info, &edb,
                                                  &stats, nullptr, eopts));
       out += options.stratified
@@ -619,6 +619,7 @@ StatusOr<std::string> RunCli(const CliOptions& options,
       m.AddCounter("eval.firings", stats.firings);
       m.AddCounter("eval.tuples_inserted", stats.tuples_inserted);
       m.AddCounter("eval.rows_examined", stats.rows_examined);
+      m.AddCounter("eval.batch_fallbacks", stats.batch_fallbacks);
       if (tracer != nullptr) {
         m.AddCounter("trace.events", tracer->total_events());
         m.AddCounter("trace.dropped", tracer->total_dropped());

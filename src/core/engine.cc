@@ -265,6 +265,9 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     detector.EnableLossDetection(&network);
   }
 
+  // Every worker is created before any runs: creation builds the
+  // indexes it probes on shared (replicated) EDB relations, which are
+  // read concurrently and must not be mutated during the run.
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(bundle.num_processors);
   for (int i = 0; i < bundle.num_processors; ++i) {
@@ -297,16 +300,6 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
               i, j, options.tracer->ring(i), options.tracer->ring(j));
         }
       }
-    }
-  }
-
-  // Pre-build every index the workers will probe on shared (replicated)
-  // EDB relations: they are read concurrently and must not be mutated
-  // during the run.
-  for (const auto& worker : workers) {
-    for (const auto& [pred, mask] : worker->compiled().required_indexes()) {
-      Relation* rel = edb->Find(pred);
-      if (rel != nullptr) rel->EnsureIndex(mask);
     }
   }
 

@@ -12,34 +12,33 @@
 namespace pdatalog {
 
 StatusOr<std::unique_ptr<Worker>> Worker::Create(
-    const RewriteBundle* bundle, int id, const Database* edb,
+    const RewriteBundle* bundle, int id, Database* edb,
     std::unordered_map<int, std::unique_ptr<Relation>> fragments,
     CommNetwork* network, TerminationDetector* detector) {
-  std::unique_ptr<Worker> worker(new Worker(
-      bundle, id, edb, std::move(fragments), network, detector));
-  Status status = worker->Setup();
+  std::unique_ptr<Worker> worker(
+      new Worker(bundle, id, std::move(fragments), network, detector));
+  Status status = worker->Setup(edb);
   if (!status.ok()) return status;
   return worker;
 }
 
-Worker::Worker(const RewriteBundle* bundle, int id, const Database* edb,
+Worker::Worker(const RewriteBundle* bundle, int id,
                std::unordered_map<int, std::unique_ptr<Relation>> fragments,
                CommNetwork* network, TerminationDetector* detector)
     : bundle_(bundle),
       id_(id),
       num_processors_(bundle->num_processors),
-      edb_(edb),
       network_(network),
       detector_(detector),
       fragments_(std::move(fragments)) {}
 
-Status Worker::Setup() {
-  local_program_ = &bundle_->per_processor[id_];
+Status Worker::Setup(Database* edb) {
+  const Program& local_program = bundle_->per_processor[id_];
 
   // Local classification: t_in predicates are fed by the channels, so
   // the semi-naive compiler must treat them as delta-tracked (derived).
   ProgramInfo local_info;
-  PDATALOG_RETURN_IF_ERROR(Validate(*local_program_, &local_info));
+  PDATALOG_RETURN_IF_ERROR(Validate(local_program, &local_info));
   for (const auto& [orig, in_sym] : bundle_->in_name) {
     if (local_info.arity.find(in_sym) == local_info.arity.end()) {
       // This t_in never occurs in the local program (no rule consumes
@@ -52,20 +51,18 @@ Status Worker::Setup() {
   }
 
   StatusOr<CompiledProgram> compiled =
-      CompiledProgram::Compile(*local_program_, local_info);
+      CompiledProgram::Compile(local_program, local_info);
   if (!compiled.ok()) return compiled.status();
-  compiled_ = std::move(*compiled);
 
-  // Local t_out / t_in relations, plus a buffered inserter per t_out
-  // (the head relations the processing rules fire into).
+  // Local t_out / t_in relations; the t_in ones are the round kernel's
+  // tracked relations.
+  std::vector<Relation*> in_rels;
   for (Symbol p : bundle_->derived) {
     int arity = bundle_->arity.at(p);
     Symbol out_sym = bundle_->out_name.at(p);
-    Relation& out = local_db_.GetOrCreate(out_sym, arity);
-    local_db_.GetOrCreate(bundle_->in_name.at(p), arity);
-    in_old_end_[bundle_->in_name.at(p)] = 0;
+    local_db_.GetOrCreate(out_sym, arity);
+    in_rels.push_back(&local_db_.GetOrCreate(bundle_->in_name.at(p), arity));
     out_sent_end_[out_sym] = 0;
-    head_inserters_.try_emplace(out_sym, &out);
   }
 
   // Occurrence lookup for fragment resolution.
@@ -76,15 +73,19 @@ Status Worker::Setup() {
                occ.body_index] = static_cast<int>(k);
   }
 
-  // Resolve every body atom to its data source.
-  body_sources_.resize(local_program_->rules.size());
-  for (size_t r = 0; r < local_program_->rules.size(); ++r) {
-    const Rule& rule = local_program_->rules[r];
-    body_sources_[r].resize(rule.body.size());
+  // Resolve every body atom to its data source, and every head to its
+  // t_out relation.
+  std::vector<std::vector<Relation*>> body_sources(
+      local_program.rules.size());
+  std::vector<Relation*> heads;
+  for (size_t r = 0; r < local_program.rules.size(); ++r) {
+    const Rule& rule = local_program.rules[r];
+    heads.push_back(local_db_.Find(rule.head.predicate));
+    body_sources[r].resize(rule.body.size());
     for (size_t b = 0; b < rule.body.size(); ++b) {
       const Atom& atom = rule.body[b];
       if (Relation* local = local_db_.Find(atom.predicate)) {
-        body_sources_[r][b] = local;  // t_in relation
+        body_sources[r][b] = local;  // t_in relation
         continue;
       }
       auto occ_it =
@@ -94,15 +95,15 @@ Status Worker::Setup() {
       if (occ.access == BaseOccurrence::Access::kFragment) {
         auto frag_it = fragments_.find(occ_it->second);
         assert(frag_it != fragments_.end());
-        body_sources_[r][b] = frag_it->second.get();
+        body_sources[r][b] = frag_it->second.get();
       } else {
-        const Relation* shared = edb_->Find(atom.predicate);
+        Relation* shared = edb->Find(atom.predicate);
         if (shared == nullptr) {
           // No facts for this base predicate: use an empty local one.
           shared = &local_db_.GetOrCreate(atom.predicate,
                                           bundle_->arity.at(atom.predicate));
         }
-        body_sources_[r][b] = shared;
+        body_sources[r][b] = shared;
       }
     }
   }
@@ -125,22 +126,8 @@ Status Worker::Setup() {
   router_ =
       TupleRouter(bundle_->sends[id_], num_processors_, constraint_eval_);
 
-  // Indexes on static sources (fragments and empty locals); shared EDB
-  // relations are pre-indexed by the engine before workers start.
-  for (const auto& [pred, mask] : compiled_.required_indexes()) {
-    for (size_t r = 0; r < local_program_->rules.size(); ++r) {
-      const Rule& rule = local_program_->rules[r];
-      for (size_t b = 0; b < rule.body.size(); ++b) {
-        if (rule.body[b].predicate != pred) continue;
-        // const_cast is safe here: fragments and local relations belong
-        // to this worker and are only indexed before/between rounds.
-        Relation* src = const_cast<Relation*>(body_sources_[r][b]);
-        bool is_in_rel = in_old_end_.count(pred) > 0;
-        bool is_shared_edb = edb_->Find(pred) == src;
-        if (!is_in_rel && !is_shared_edb) src->EnsureIndex(mask);
-      }
-    }
-  }
+  round_.emplace(std::move(*compiled), body_sources, heads, std::move(in_rels),
+                 constraint_eval_);
   return Status::Ok();
 }
 
@@ -149,6 +136,7 @@ void Worker::set_rebalance(RebalanceCoordinator* coordinator) {
   if (coordinator == nullptr) return;
   remap_view_ = coordinator->MakeView(id_);
   constraint_eval_ = remap_view_.get();
+  round_->set_constraint_eval(constraint_eval_);
   router_ =
       TupleRouter(bundle_->sends[id_], num_processors_, constraint_eval_);
 }
@@ -158,8 +146,8 @@ void Worker::set_trace(TraceRing* ring) {
   // Bulk ingests into the t_in relations happen on this worker's thread
   // (DrainChannels), so they may share the worker's ring — and, when
   // tracing is on, the worker's ingest histograms.
-  for (const auto& [in_sym, unused] : in_old_end_) {
-    (void)unused;
+  for (const auto& [orig, in_sym] : bundle_->in_name) {
+    (void)orig;
     Relation* rel = local_db_.Find(in_sym);
     rel->set_trace(ring);
     rel->set_insert_profile(ring != nullptr ? &profile_.insert_ns : nullptr);
@@ -167,8 +155,7 @@ void Worker::set_trace(TraceRing* ring) {
                                            : nullptr);
   }
   // The batch join kernel records surviving keys per probe batch.
-  join_scratch_.probe_batch =
-      ring != nullptr ? &profile_.probe_batch : nullptr;
+  round_->set_probe_batch(ring != nullptr ? &profile_.probe_batch : nullptr);
 }
 
 const Relation& Worker::OutputRelation(Symbol p) const {
@@ -177,44 +164,15 @@ const Relation& Worker::OutputRelation(Symbol p) const {
   return *rel;
 }
 
-void Worker::EnsureLocalIndexes() {
-  for (const auto& [pred, mask] : compiled_.required_indexes()) {
-    if (in_old_end_.count(pred) == 0) continue;  // only t_in grows
-    local_db_.Find(pred)->EnsureIndex(mask);
-  }
-}
-
-Status Worker::Init() {
-  TraceScope span(trace_, TracePhase::kInit);
-  round_logs_.emplace_back();
-  current_log_ = &round_logs_.back();
-  current_log_->sent_to.assign(num_processors_, 0);
-  ExecStats es;
-  for (size_t r = 0; r < local_program_->rules.size(); ++r) {
-    const auto& variants = compiled_.rules()[r];
-    if (variants.has_derived_body) continue;
-    const Rule& rule = local_program_->rules[r];
-    BatchInserter& inserter = head_inserters_.at(rule.head.predicate);
-    std::vector<AtomInput> inputs(rule.body.size());
-    for (size_t b = 0; b < rule.body.size(); ++b) {
-      const Relation* src = body_sources_[r][b];
-      inputs[b] = AtomInput{src, 0, src->size()};
-    }
-    JoinExecutor::Execute(
-        variants.full, inputs, constraint_eval_,
-        [&](const Value* values, int n) {
-          stats_.out_inserted += inserter.Push(values, n);
-        },
-        &es, &join_scratch_);
-    stats_.out_inserted += inserter.Flush();
-  }
+void Worker::AddEvalStats(const EvalStats& es) {
   stats_.firings += es.firings;
+  stats_.out_inserted += es.tuples_inserted;
   stats_.rows_examined += es.rows_examined;
   stats_.batch_fallbacks += es.batch_fallbacks;
   current_log_->firings = es.firings;
+}
 
-  // Route the initial output delta (Section 3: tuples derived by the
-  // initialization rule flow through the sending rules like any other).
+void Worker::SendOutputDelta() {
   for (Symbol p : bundle_->derived) {
     Relation* out = local_db_.Find(bundle_->out_name.at(p));
     size_t& sent = out_sent_end_[bundle_->out_name.at(p)];
@@ -222,6 +180,19 @@ Status Worker::Init() {
     sent = out->size();
   }
   FlushSends();
+}
+
+Status Worker::Init() {
+  TraceScope span(trace_, TracePhase::kInit);
+  round_logs_.emplace_back();
+  current_log_ = &round_logs_.back();
+  current_log_->sent_to.assign(num_processors_, 0);
+  EvalStats es;
+  round_->FireExitRules(&es);
+  AddEvalStats(es);
+  // Route the initial output delta (Section 3: tuples derived by the
+  // initialization rule flow through the sending rules like any other).
+  SendOutputDelta();
   current_log_ = nullptr;
   return send_status_;
 }
@@ -306,74 +277,15 @@ void Worker::ProcessRound() {
   current_log_->received = pending_received_;
   pending_received_ = 0;
 
-  // Freeze this round's delta windows.
-  std::unordered_map<Symbol, size_t> cur_end;
-  for (auto& [in_sym, old_end] : in_old_end_) {
-    (void)old_end;
-    cur_end[in_sym] = local_db_.Find(in_sym)->size();
-  }
-  EnsureLocalIndexes();
-
-  ExecStats es;
+  EvalStats es;
   {
     TraceScope probe(trace_, TracePhase::kProbe,
                      static_cast<uint32_t>(stats_.rounds),
                      trace_ != nullptr ? &profile_.probe_ns : nullptr);
-    for (size_t r = 0; r < local_program_->rules.size(); ++r) {
-      const auto& variants = compiled_.rules()[r];
-      if (!variants.has_derived_body) continue;
-      const Rule& rule = local_program_->rules[r];
-      BatchInserter& inserter = head_inserters_.at(rule.head.predicate);
-
-      for (const auto& [delta_idx, delta_rule] : variants.deltas) {
-        std::vector<AtomInput> inputs(rule.body.size());
-        bool empty_delta = false;
-        for (size_t b = 0; b < rule.body.size(); ++b) {
-          const Atom& atom = rule.body[b];
-          const Relation* src = body_sources_[r][b];
-          auto old_it = in_old_end_.find(atom.predicate);
-          if (old_it == in_old_end_.end()) {  // base atom
-            inputs[b] = AtomInput{src, 0, src->size()};
-            continue;
-          }
-          size_t old_end = old_it->second;
-          size_t cur = cur_end.at(atom.predicate);
-          if (static_cast<int>(b) == delta_idx) {
-            inputs[b] = AtomInput{src, old_end, cur};
-            if (old_end == cur) empty_delta = true;
-          } else if (static_cast<int>(b) < delta_idx) {
-            inputs[b] = AtomInput{src, 0, old_end};
-          } else {
-            inputs[b] = AtomInput{src, 0, cur};
-          }
-        }
-        if (empty_delta) continue;
-        JoinExecutor::Execute(
-            delta_rule, inputs, constraint_eval_,
-            [&](const Value* values, int n) {
-              stats_.out_inserted += inserter.Push(values, n);
-            },
-            &es, &join_scratch_);
-        stats_.out_inserted += inserter.Flush();
-      }
-    }
+    round_->RunRound(&es);
   }
-  stats_.firings += es.firings;
-  stats_.rows_examined += es.rows_examined;
-  stats_.batch_fallbacks += es.batch_fallbacks;
-  current_log_->firings = es.firings;
-
-  // Send the new outputs, then advance the t_in watermarks.
-  for (Symbol p : bundle_->derived) {
-    Relation* out = local_db_.Find(bundle_->out_name.at(p));
-    size_t& sent = out_sent_end_[bundle_->out_name.at(p)];
-    SendNewRows(p, *out, sent, out->size());
-    sent = out->size();
-  }
-  for (auto& [in_sym, old_end] : in_old_end_) {
-    old_end = cur_end.at(in_sym);
-  }
-  FlushSends();
+  AddEvalStats(es);
+  SendOutputDelta();
   current_log_ = nullptr;
 }
 
@@ -490,14 +402,7 @@ StatusOr<bool> Worker::Step() {
   if (rebalance_ != nullptr) rebalance_->Sync(id_, remap_view_.get());
   StatusOr<size_t> got = DrainChannels();
   if (!got.ok()) return got.status();
-  bool has_delta = false;
-  for (const auto& [in_sym, old_end] : in_old_end_) {
-    if (old_end < local_db_.Find(in_sym)->size()) {
-      has_delta = true;
-      break;
-    }
-  }
-  if (*got == 0 && !has_delta) return false;
+  if (*got == 0 && !round_->HasDelta()) return false;
   if (rebalance_ != nullptr) {
     Stopwatch round_watch;
     ProcessRound();

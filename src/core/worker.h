@@ -6,6 +6,7 @@
 #define PDATALOG_CORE_WORKER_H_
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -15,7 +16,7 @@
 #include "core/rewrite.h"
 #include "core/routing.h"
 #include "core/termination.h"
-#include "eval/seminaive.h"
+#include "eval/round.h"
 #include "obs/histogram.h"
 #include "storage/database.h"
 
@@ -67,9 +68,11 @@ class Worker {
  public:
   // `fragments` are this worker's base fragments, moved in; replicated
   // base relations are read directly (and concurrently) from `edb`.
-  // All pointers must outlive the worker.
+  // Create builds the indexes this worker probes on them, so workers
+  // must be created before any of them runs. All pointers must outlive
+  // the worker.
   static StatusOr<std::unique_ptr<Worker>> Create(
-      const RewriteBundle* bundle, int id, const Database* edb,
+      const RewriteBundle* bundle, int id, Database* edb,
       std::unordered_map<int, std::unique_ptr<Relation>> fragments,
       CommNetwork* network, TerminationDetector* detector);
 
@@ -131,17 +134,16 @@ class Worker {
   const WorkerProfile& profile() const { return profile_; }
   const std::vector<RoundLog>& round_logs() const { return round_logs_; }
   const Database& local_db() const { return local_db_; }
-  const CompiledProgram& compiled() const { return compiled_; }
 
   // The worker's t_out relation for original derived predicate `p`.
   const Relation& OutputRelation(Symbol p) const;
 
  private:
-  Worker(const RewriteBundle* bundle, int id, const Database* edb,
+  Worker(const RewriteBundle* bundle, int id,
          std::unordered_map<int, std::unique_ptr<Relation>> fragments,
          CommNetwork* network, TerminationDetector* detector);
 
-  Status Setup();
+  Status Setup(Database* edb);
 
   // Appends all pending channel blocks into the t_in relations (bulk
   // ingest via Relation::InsertBlock; encoded frames are decoded
@@ -152,9 +154,13 @@ class Worker {
   // block's tuple count on success.
   StatusOr<size_t> IngestBlock(const TupleBlock& block, int from);
 
-  // Runs the delta variants of every processing rule over the current
-  // t_in deltas, then routes new t_out tuples.
+  // Runs one semi-naive round over the current t_in deltas, then routes
+  // the new t_out tuples.
   void ProcessRound();
+  // Adds a kernel pass's counters to stats_ and the current round log.
+  void AddEvalStats(const EvalStats& es);
+  // Routes every t_out row derived since the last call, then flushes.
+  void SendOutputDelta();
 
   // Applies the sending rules to `out`'s freshly derived rows
   // [begin, end): gathers up to 256 rows out of the column store,
@@ -170,28 +176,21 @@ class Worker {
   void FlushBlock(int dest, TupleBlock* block);
   void FlushSends();
 
-  void EnsureLocalIndexes();
-
   const RewriteBundle* bundle_;
   int id_;
   int num_processors_;
-  const Database* edb_;
   CommNetwork* network_;
   TerminationDetector* detector_;
-
-  const Program* local_program_;  // bundle_->per_processor[id_]
-  CompiledProgram compiled_;
 
   Database local_db_;  // holds t_out / t_in relations (decorated names)
   // Base fragments keyed by occurrence index (see RewriteBundle).
   std::unordered_map<int, std::unique_ptr<Relation>> fragments_;
-  // Resolved data source for every (rule, body atom): local t_in
-  // relation, shared EDB relation, or fragment.
-  std::vector<std::vector<const Relation*>> body_sources_;
-
-  // Semi-naive watermarks.
-  std::unordered_map<Symbol, size_t> in_old_end_;   // by t_in symbol
-  std::unordered_map<Symbol, size_t> out_sent_end_; // by t_out symbol
+  // The semi-naive round over this worker's sources: every body atom
+  // reads its local t_in relation, a shared EDB relation, or a fragment;
+  // the t_in relations are tracked; heads fire into t_out. Built in
+  // Setup().
+  std::optional<SemiNaiveRound> round_;
+  std::unordered_map<Symbol, size_t> out_sent_end_;  // routed, by t_out
 
   // Precompiled sending rules (pattern checks + routing positions per
   // predicate; see core/routing.h), built once in Setup().
@@ -201,15 +200,9 @@ class Worker {
   const ConstraintEvaluator* constraint_eval_ = nullptr;
   RebalanceCoordinator* rebalance_ = nullptr;
   std::unique_ptr<RemapView> remap_view_;
-  // One buffered inserter per head (t_out) relation: rule firings
-  // batch through Relation::InsertBlock instead of one dedup probe
-  // per firing. Flushed after every Execute call, before anything
-  // reads the relation's size. Built in Setup().
-  std::unordered_map<Symbol, BatchInserter> head_inserters_;
   std::vector<int> dests_;              // scratch for SendNewRows
   std::vector<uint32_t> route_offsets_; // per-row dest ranges into dests_
   std::vector<Value> send_rows_;        // row-major gather buffer
-  JoinScratch join_scratch_;
   WorkerStats stats_;
   TraceRing* trace_ = nullptr;  // optional per-worker trace ring
   WorkerProfile profile_;       // recorded only when trace_ is set

@@ -1,28 +1,30 @@
 #include "eval/incremental.h"
 
+#include "obs/trace.h"
+
 namespace pdatalog {
 
 StatusOr<IncrementalEvaluator> IncrementalEvaluator::Create(
-    const Program& program, const ProgramInfo& info) {
-  IncrementalEvaluator evaluator(&program, &info);
-
+    const Program& program, const ProgramInfo& info,
+    const EvalOptions& options) {
   // Compile with *every* predicate delta-tracked: base atoms get delta
   // variants too, so newly added facts drive rounds exactly like newly
-  // derived tuples.
+  // derived tuples. The exit rules are then the empty-body rules.
   ProgramInfo all_delta = info;
   for (Symbol p : info.predicates) {
     all_delta.derived.insert(p);
   }
   all_delta.base.clear();
   StatusOr<CompiledProgram> compiled =
-      CompiledProgram::Compile(program, all_delta);
+      CompiledProgram::Compile(program, all_delta, options);
   if (!compiled.ok()) return compiled.status();
-  evaluator.compiled_ = std::move(*compiled);
 
+  IncrementalEvaluator evaluator(&program, &info, options.trace);
   for (Symbol p : info.predicates) {
     evaluator.db_.GetOrCreate(p, info.arity.at(p));
-    evaluator.marks_.emplace(p, Watermark{});
   }
+  evaluator.round_.emplace(SemiNaiveRound::OverDatabase(
+      std::move(*compiled), &evaluator.db_, info.predicates, nullptr));
   return evaluator;
 }
 
@@ -42,80 +44,29 @@ StatusOr<bool> IncrementalEvaluator::AddFact(Symbol predicate,
 
 StatusOr<EvalStats> IncrementalEvaluator::Evaluate() {
   EvalStats batch;
-  ExecStats exec;
-
   // Rules with empty bodies (programmatically built fact-rules) fire
   // once, on the first Evaluate() only.
   if (first_run_) {
     first_run_ = false;
-    for (size_t r = 0; r < program_->rules.size(); ++r) {
-      const Rule& rule = program_->rules[r];
-      if (!rule.body.empty()) continue;
-      Relation* head_rel = db_.Find(rule.head.predicate);
-      JoinExecutor::Execute(
-          compiled_.rules()[r].full, {}, nullptr,
-          [&](const Value* values, int n) {
-            if (head_rel->InsertView(values, n)) ++batch.tuples_inserted;
-          },
-          &exec, &scratch_);
-    }
+    TraceScope init(trace_, TracePhase::kInit);
+    round_->FireExitRules(&batch);
   }
 
-  while (true) {
-    // Freeze this round's windows; anything appended since the last
-    // round (new facts or derived tuples) becomes the delta.
-    bool any_delta = false;
-    for (auto& [p, mark] : marks_) {
-      mark.cur_end = db_.Find(p)->size();
-      if (mark.cur_end > mark.old_end) any_delta = true;
-    }
-    if (!any_delta) break;
+  // Anything appended since the last round (new facts or derived
+  // tuples) is the next round's delta.
+  while (round_->HasDelta()) {
     ++batch.rounds;
-
-    for (const auto& [pred, mask] : compiled_.required_indexes()) {
-      db_.Find(pred)->EnsureIndex(mask);
-    }
-
-    for (size_t r = 0; r < program_->rules.size(); ++r) {
-      const Rule& rule = program_->rules[r];
-      const auto& variants = compiled_.rules()[r];
-      Relation* head_rel = db_.Find(rule.head.predicate);
-      for (const auto& [delta_idx, delta_rule] : variants.deltas) {
-        std::vector<AtomInput> inputs(rule.body.size());
-        bool empty_delta = false;
-        for (size_t b = 0; b < rule.body.size(); ++b) {
-          const Relation* rel = db_.Find(rule.body[b].predicate);
-          const Watermark& mark = marks_.at(rule.body[b].predicate);
-          if (static_cast<int>(b) == delta_idx) {
-            inputs[b] = AtomInput{rel, mark.old_end, mark.cur_end};
-            if (mark.old_end == mark.cur_end) empty_delta = true;
-          } else if (static_cast<int>(b) < delta_idx) {
-            inputs[b] = AtomInput{rel, 0, mark.old_end};
-          } else {
-            inputs[b] = AtomInput{rel, 0, mark.cur_end};
-          }
-        }
-        if (empty_delta) continue;
-        JoinExecutor::Execute(
-            delta_rule, inputs, nullptr,
-            [&](const Value* values, int n) {
-              if (head_rel->InsertView(values, n)) ++batch.tuples_inserted;
-            },
-            &exec, &scratch_);
-      }
-    }
-
-    for (auto& [p, mark] : marks_) {
-      mark.old_end = mark.cur_end;
-    }
+    const auto round_no = static_cast<uint32_t>(stats_.rounds + batch.rounds);
+    if (trace_ != nullptr) trace_->Instant(TracePhase::kRound, round_no);
+    TraceScope probe(trace_, TracePhase::kProbe, round_no);
+    round_->RunRound(&batch);
   }
 
-  batch.firings = exec.firings;
-  batch.rows_examined = exec.rows_examined;
   stats_.rounds += batch.rounds;
   stats_.firings += batch.firings;
   stats_.tuples_inserted += batch.tuples_inserted;
   stats_.rows_examined += batch.rows_examined;
+  stats_.batch_fallbacks += batch.batch_fallbacks;
   return batch;
 }
 

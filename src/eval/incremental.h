@@ -10,18 +10,22 @@
 #ifndef PDATALOG_EVAL_INCREMENTAL_H_
 #define PDATALOG_EVAL_INCREMENTAL_H_
 
-#include <unordered_map>
+#include <optional>
 
-#include "eval/seminaive.h"
+#include "eval/round.h"
 
 namespace pdatalog {
 
 class IncrementalEvaluator {
  public:
   // `program`/`info` must outlive the evaluator. The database starts
-  // empty; load facts with AddFact and call Evaluate.
+  // empty; load facts with AddFact and call Evaluate. `options.trace`
+  // records the same init/probe spans and round instants as
+  // SemiNaiveEvaluate, on the thread that calls Evaluate;
+  // `options.stratified` is ignored (maintenance runs the whole program).
   static StatusOr<IncrementalEvaluator> Create(const Program& program,
-                                               const ProgramInfo& info);
+                                               const ProgramInfo& info,
+                                               const EvalOptions& options = {});
 
   // Inserts one base tuple (deduplicated). Returns true if new.
   // It is an error to add facts for derived predicates.
@@ -37,20 +41,16 @@ class IncrementalEvaluator {
   const EvalStats& stats() const { return stats_; }
 
  private:
-  IncrementalEvaluator(const Program* program, const ProgramInfo* info)
-      : program_(program), info_(info) {}
+  IncrementalEvaluator(const Program* program, const ProgramInfo* info,
+                       TraceRing* trace)
+      : program_(program), info_(info), trace_(trace) {}
 
   const Program* program_;
   const ProgramInfo* info_;
-  CompiledProgram compiled_;
+  TraceRing* trace_;
   Database db_;
-  // Semi-naive watermarks for every predicate (base and derived).
-  struct Watermark {
-    size_t old_end = 0;
-    size_t cur_end = 0;
-  };
-  std::unordered_map<Symbol, Watermark> marks_;
-  JoinScratch scratch_;
+  // Every predicate, base and derived, is tracked. Set by Create().
+  std::optional<SemiNaiveRound> round_;
   EvalStats stats_;
   bool first_run_ = true;
 };

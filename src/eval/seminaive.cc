@@ -1,8 +1,8 @@
 #include "eval/seminaive.h"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "eval/round.h"
 #include "eval/stratify.h"
 #include "obs/trace.h"
 
@@ -13,7 +13,7 @@ StatusOr<CompiledProgram> CompiledProgram::Compile(const Program& program,
                                                    const EvalOptions& options) {
   CompiledProgram out;
   for (const Rule& rule : program.rules) {
-    RuleVariants variants{CompiledRule{}, {}, false};
+    RuleVariants variants{CompiledRule{}, {}};
     StatusOr<CompiledRule> full =
         CompiledRule::Compile(rule, -1, options.greedy_join_order);
     if (!full.ok()) return full.status();
@@ -21,7 +21,6 @@ StatusOr<CompiledProgram> CompiledProgram::Compile(const Program& program,
 
     for (size_t i = 0; i < rule.body.size(); ++i) {
       if (!info.IsDerived(rule.body[i].predicate)) continue;
-      variants.has_derived_body = true;
       StatusOr<CompiledRule> delta = CompiledRule::Compile(
           rule, static_cast<int>(i), options.greedy_join_order);
       if (!delta.ok()) return delta.status();
@@ -45,19 +44,16 @@ StatusOr<CompiledProgram> CompiledProgram::Compile(const Program& program,
   return out;
 }
 
-namespace {
-
-struct Watermark {
-  size_t old_end = 0;
-  size_t cur_end = 0;
-};
-
-}  // namespace
-
 Status SemiNaiveEvaluate(const Program& program, const ProgramInfo& info,
                          Database* db, EvalStats* stats,
                          const ConstraintEvaluator* constraint_eval,
                          const EvalOptions& options) {
+  // Materialize every predicate's relation (base ones may be absent from
+  // db if no facts were loaded; derived ones start empty).
+  for (Symbol p : info.predicates) {
+    db->GetOrCreate(p, info.arity.at(p));
+  }
+
   if (options.stratified) {
     // Evaluate the condensation bottom-up: each stratum's rules form a
     // sub-program in which lower-strata predicates classify as base
@@ -65,9 +61,6 @@ Status SemiNaiveEvaluate(const Program& program, const ProgramInfo& info,
     Stratification strat = Stratify(program, info);
     EvalOptions sub_options = options;
     sub_options.stratified = false;
-    for (Symbol p : info.predicates) {
-      db->GetOrCreate(p, info.arity.at(p));
-    }
     for (size_t s = 0; s < strat.strata.size(); ++s) {
       Program sub;
       sub.symbols = program.symbols;
@@ -76,13 +69,8 @@ Status SemiNaiveEvaluate(const Program& program, const ProgramInfo& info,
       }
       ProgramInfo sub_info;
       PDATALOG_RETURN_IF_ERROR(Validate(sub, &sub_info));
-      EvalStats sub_stats;
-      PDATALOG_RETURN_IF_ERROR(SemiNaiveEvaluate(
-          sub, sub_info, db, &sub_stats, constraint_eval, sub_options));
-      stats->rounds += sub_stats.rounds;
-      stats->firings += sub_stats.firings;
-      stats->tuples_inserted += sub_stats.tuples_inserted;
-      stats->rows_examined += sub_stats.rows_examined;
+      PDATALOG_RETURN_IF_ERROR(SemiNaiveEvaluate(sub, sub_info, db, stats,
+                                                 constraint_eval, sub_options));
     }
     return Status::Ok();
   }
@@ -90,127 +78,28 @@ Status SemiNaiveEvaluate(const Program& program, const ProgramInfo& info,
   StatusOr<CompiledProgram> compiled =
       CompiledProgram::Compile(program, info, options);
   if (!compiled.ok()) return compiled.status();
-
-  // Materialize every predicate's relation (base ones may be absent from
-  // db if no facts were loaded; derived ones start empty).
-  for (Symbol p : info.predicates) {
-    db->GetOrCreate(p, info.arity.at(p));
-  }
-
-  std::unordered_map<Symbol, Watermark> marks;
-  for (Symbol p : info.derived) marks.emplace(p, Watermark{});
-
-  ExecStats exec_stats;
-  JoinScratch scratch;
-
-  auto ensure_indexes = [&] {
-    for (const auto& [pred, mask] : compiled->required_indexes()) {
-      db->GetOrCreate(pred, info.arity.at(pred)).EnsureIndex(mask);
-    }
-  };
-
-  // One BatchInserter per head relation: firings buffer and flush
-  // through InsertBlock (tight hash loop + prefetched dedup probes)
-  // instead of paying one dependent random load per firing. Flushed
-  // after every Execute call, so every point that reads a relation's
-  // size sees the same state as the unbuffered path.
-  std::unordered_map<Relation*, BatchInserter> inserters;
-  auto make_sink = [&](Relation* rel) {
-    BatchInserter* ins = &inserters.try_emplace(rel, rel).first->second;
-    return [ins, stats](const Value* values, int n) {
-      stats->tuples_inserted += ins->Push(values, n);
-    };
-  };
-  auto flush_sink = [&](Relation* rel) {
-    stats->tuples_inserted += inserters.at(rel).Flush();
-  };
+  SemiNaiveRound round = SemiNaiveRound::OverDatabase(
+      std::move(*compiled), db,
+      std::vector<Symbol>(info.derived.begin(), info.derived.end()),
+      constraint_eval);
 
   // Round 0: rules without derived body atoms (exit rules) fire once.
-  ensure_indexes();
   {
     TraceScope init(options.trace, TracePhase::kInit);
-    for (size_t r = 0; r < program.rules.size(); ++r) {
-      const auto& variants = compiled->rules()[r];
-      if (variants.has_derived_body) continue;
-      const Rule& rule = program.rules[r];
-      Relation* head_rel = db->Find(rule.head.predicate);
-      std::vector<AtomInput> inputs(rule.body.size());
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        const Relation* rel = db->Find(rule.body[i].predicate);
-        inputs[i] = AtomInput{rel, 0, rel->size()};
-      }
-      JoinExecutor::Execute(variants.full, inputs, constraint_eval,
-                            make_sink(head_rel), &exec_stats, &scratch);
-      flush_sink(head_rel);
-    }
+    round.FireExitRules(stats);
   }
-  stats->rounds = 1;
-  for (auto& [p, mark] : marks) {
-    mark.cur_end = db->Find(p)->size();
-  }
+  ++stats->rounds;
 
-  // Semi-naive rounds: each recursive rule runs once per derived body
-  // occurrence, with that occurrence reading the delta window, earlier
-  // derived occurrences reading the pre-round prefix, and later ones
-  // reading everything up to the round start.
-  while (true) {
-    bool any_delta = false;
-    for (const auto& [p, mark] : marks) {
-      if (mark.cur_end > mark.old_end) any_delta = true;
-    }
-    if (!any_delta) break;
-
-    ensure_indexes();
+  while (round.HasDelta()) {
     if (options.trace != nullptr) {
       options.trace->Instant(TracePhase::kRound,
                              static_cast<uint32_t>(stats->rounds));
     }
-    {
-      TraceScope probe(options.trace, TracePhase::kProbe,
-                       static_cast<uint32_t>(stats->rounds));
-      for (size_t r = 0; r < program.rules.size(); ++r) {
-        const auto& variants = compiled->rules()[r];
-        if (!variants.has_derived_body) continue;
-        const Rule& rule = program.rules[r];
-        Relation* head_rel = db->Find(rule.head.predicate);
-
-        for (const auto& [delta_idx, delta_rule] : variants.deltas) {
-          std::vector<AtomInput> inputs(rule.body.size());
-          bool empty_delta = false;
-          for (size_t i = 0; i < rule.body.size(); ++i) {
-            const Atom& atom = rule.body[i];
-            const Relation* rel = db->Find(atom.predicate);
-            if (!info.IsDerived(atom.predicate)) {
-              inputs[i] = AtomInput{rel, 0, rel->size()};
-              continue;
-            }
-            const Watermark& mark = marks.at(atom.predicate);
-            if (static_cast<int>(i) == delta_idx) {
-              inputs[i] = AtomInput{rel, mark.old_end, mark.cur_end};
-              if (mark.old_end == mark.cur_end) empty_delta = true;
-            } else if (static_cast<int>(i) < delta_idx) {
-              inputs[i] = AtomInput{rel, 0, mark.old_end};
-            } else {
-              inputs[i] = AtomInput{rel, 0, mark.cur_end};
-            }
-          }
-          if (empty_delta) continue;
-          JoinExecutor::Execute(delta_rule, inputs, constraint_eval,
-                                make_sink(head_rel), &exec_stats, &scratch);
-          flush_sink(head_rel);
-        }
-      }
-    }
-
+    TraceScope probe(options.trace, TracePhase::kProbe,
+                     static_cast<uint32_t>(stats->rounds));
+    round.RunRound(stats);
     ++stats->rounds;
-    for (auto& [p, mark] : marks) {
-      mark.old_end = mark.cur_end;
-      mark.cur_end = db->Find(p)->size();
-    }
   }
-
-  stats->firings += exec_stats.firings;
-  stats->rows_examined += exec_stats.rows_examined;
   return Status::Ok();
 }
 

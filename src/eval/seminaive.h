@@ -37,6 +37,8 @@ struct EvalStats {
   // Distinct tuples added to derived relations.
   uint64_t tuples_inserted = 0;
   uint64_t rows_examined = 0;
+  // Multi-step joins the batch kernel could not cover (ExecStats).
+  uint64_t batch_fallbacks = 0;
 };
 
 // A program compiled for (semi-)naive evaluation: for every rule, a
@@ -48,7 +50,6 @@ class CompiledProgram {
     // (body index of the delta atom, compiled variant with that atom
     // joined first).
     std::vector<std::pair<int, CompiledRule>> deltas;
-    bool has_derived_body = false;
   };
 
   static StatusOr<CompiledProgram> Compile(const Program& program,
@@ -67,9 +68,9 @@ class CompiledProgram {
 };
 
 // Evaluates `program` over the facts already loaded in `db`, writing
-// derived relations into `db`. `constraint_eval` must be non-null iff
-// any rule carries hash constraints (used by the parallel workers'
-// local programs; plain programs pass nullptr).
+// derived relations into `db` and adding to `stats`. `constraint_eval`
+// must be non-null iff any rule carries hash constraints (used by the
+// parallel workers' local programs; plain programs pass nullptr).
 Status SemiNaiveEvaluate(const Program& program, const ProgramInfo& info,
                          Database* db, EvalStats* stats,
                          const ConstraintEvaluator* constraint_eval = nullptr,

@@ -1,5 +1,6 @@
 #include "cli/driver.h"
 
+#include <fstream>
 #include <sstream>
 
 #include "gtest/gtest.h"
@@ -87,12 +88,21 @@ TEST(CliRunTest, FaultyRunWithoutRetransmitReportsTheFault) {
 }
 
 TEST(CliRunTest, SequentialReport) {
-  StatusOr<CliOptions> options = ParseCliArgs({"--mode=seq", "p.dl"});
+  const std::string metrics_file = testing::TempDir() + "seq-metrics.json";
+  StatusOr<CliOptions> options =
+      ParseCliArgs({"--mode=seq", "--metrics=" + metrics_file, "p.dl"});
   ASSERT_TRUE(options.ok());
   StatusOr<std::string> report = RunCli(*options, kAncestor);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->find("sequential semi-naive"), std::string::npos);
   EXPECT_NE(report->find("anc: 6 tuples"), std::string::npos);
+  std::ifstream in(metrics_file);
+  std::stringstream metrics;
+  metrics << in.rdbuf();
+  EXPECT_NE(metrics.str().find("\"eval.rows_examined\""), std::string::npos)
+      << metrics.str();
+  EXPECT_NE(metrics.str().find("\"eval.batch_fallbacks\""), std::string::npos)
+      << metrics.str();
 }
 
 TEST(CliRunTest, NaiveReport) {

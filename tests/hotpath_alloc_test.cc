@@ -1,13 +1,15 @@
 // Verifies the hot path's allocation contract: once scratch buffers are
 // warm, a JoinExecutor::Execute pass (index probes, bindings, firings
-// into a raw-values sink) and duplicate-rejecting InsertView calls
-// perform zero heap allocations. Guards against regressions that
-// reintroduce per-probe key `Tuple`s or per-call binding vectors.
+// into a raw-values sink), duplicate-rejecting InsertView calls, and a
+// whole SemiNaiveRound::RunRound perform zero heap allocations. Guards
+// against regressions that reintroduce per-probe key `Tuple`s, per-call
+// binding vectors, or per-round input arrays and watermark maps.
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
 #include "eval/plan.h"
+#include "eval/round.h"
 #include "gtest/gtest.h"
 #include "obs/trace.h"
 #include "storage/relation.h"
@@ -46,6 +48,7 @@ namespace pdatalog {
 namespace {
 
 using testing_util::ParseOrDie;
+using testing_util::ValidateOrDie;
 
 uint64_t AllocCount() { return g_news.load(std::memory_order_relaxed); }
 
@@ -86,6 +89,61 @@ TEST(HotPathAllocTest, JoinExecuteAllocatesNothingWhenWarm) {
   uint64_t after = AllocCount();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations on the warm join path";
+}
+
+TEST(HotPathAllocTest, WarmRoundOfDuplicateDerivationsAllocatesNothing) {
+  SymbolTable symbols;
+  Program program = ParseOrDie(
+      "anc(X, Y) :- par(X, Y).\n"
+      "anc(X, Y) :- par(X, Z), anc(Z, Y).\n",
+      &symbols);
+  ProgramInfo info = ValidateOrDie(program);
+  StatusOr<CompiledProgram> compiled = CompiledProgram::Compile(program, info);
+  ASSERT_TRUE(compiled.ok());
+  const Symbol par_sym = symbols.Lookup("par");
+  const Symbol anc_sym = symbols.Lookup("anc");
+
+  // A 100-node chain whose closure is already materialized.
+  constexpr Value kNodes = 100;
+  Database db;
+  Relation& par = db.GetOrCreate(par_sym, 2);
+  Relation& anc = db.GetOrCreate(anc_sym, 2);
+  for (Value i = 0; i + 1 < kNodes; ++i) par.Insert(Tuple{i, i + 1});
+  for (Value i = 0; i < kNodes; ++i) {
+    for (Value j = i + 1; j < kNodes; ++j) anc.Insert(Tuple{i, j});
+  }
+  for (const auto& [pred, mask] : compiled->required_indexes()) {
+    if (pred == par_sym) par.EnsureIndex(mask);
+  }
+  SemiNaiveRound round = SemiNaiveRound::OverDatabase(
+      std::move(*compiled), &db, {anc_sym}, nullptr);
+
+  // Every node reaches a fresh sink node: the delta {(k, sink)} derives
+  // (k - 1, sink) for every k > 0, each already in the delta itself.
+  auto add_sink = [&](Value sink) {
+    for (Value k = 0; k < kNodes; ++k) anc.Insert(Tuple{k, sink});
+  };
+  EvalStats stats;
+  round.FireExitRules(&stats);
+  ASSERT_EQ(stats.tuples_inserted, 0u);
+  // Warm-up: the closure itself as the delta, then one sink round of
+  // the measured shape.
+  round.RunRound(&stats);
+  add_sink(kNodes);
+  round.RunRound(&stats);
+  ASSERT_EQ(stats.tuples_inserted, 0u);
+
+  add_sink(kNodes + 1);
+  ASSERT_TRUE(round.HasDelta());
+  EvalStats warm;
+  uint64_t before = AllocCount();
+  round.RunRound(&warm);
+  uint64_t after = AllocCount();
+  EXPECT_EQ(warm.firings, static_cast<uint64_t>(kNodes - 1));
+  EXPECT_EQ(warm.tuples_inserted, 0u);
+  EXPECT_FALSE(round.HasDelta());
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " heap allocations in a warm semi-naive round";
 }
 
 TEST(HotPathAllocTest, DuplicateInsertViewAllocatesNothing) {

@@ -174,6 +174,11 @@ TEST(IncrementalTest, RandomProgramsMatchBatchUnderIncrementalLoading) {
                 batch.Find(p)->ToSortedString(symbols))
           << "seed " << seed << " pred " << symbols.Name(p);
     }
+    // Theorem 2 non-redundancy across increments: every ground
+    // substitution fires exactly once, however the facts were split.
+    EXPECT_EQ(inc->stats().firings, stats.firings) << "seed " << seed;
+    EXPECT_EQ(inc->stats().tuples_inserted, stats.tuples_inserted)
+        << "seed " << seed;
   }
 }
 
