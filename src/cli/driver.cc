@@ -579,8 +579,7 @@ StatusOr<std::string> RunCli(const CliOptions& options,
       if (!batch.ok()) return batch.status();
       stats = *batch;
       for (const auto& [pred, rel] : eval->db().relations()) {
-        Relation& dest = edb.GetOrCreate(pred, rel->arity());
-        for (size_t i = 0; i < rel->size(); ++i) dest.Insert(rel->row(i));
+        edb.GetOrCreate(pred, rel->arity()).InsertAll(*rel);
       }
       out += "mode: sequential incremental\n";
     } else if (options.mode == CliOptions::Mode::kSequential) {
@@ -710,7 +709,10 @@ StatusOr<std::string> RunCli(const CliOptions& options,
          " in " + U64(result->cross_frames) + " frames (" +
          U64(result->cross_bytes) + " bytes)" +
          ", self-routed: " + U64(result->self_tuples) + ", " +
-         TextTable::Cell(result->wall_seconds * 1e3, 2) + " ms\n";
+         TextTable::Cell(result->wall_seconds * 1e3, 2) + " ms + " +
+         TextTable::Cell(result->metrics.gauge("run.pool_seconds") * 1e3,
+                         2) +
+         " ms pooling\n";
   if (result->faults.any()) {
     out += "faults injected: dropped " + U64(result->faults.dropped) +
            ", duplicated " + U64(result->faults.duplicated) +

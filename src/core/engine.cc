@@ -212,6 +212,27 @@ void ProjectScalarsFromMetrics(ParallelResult* result) {
 
 }  // namespace
 
+void PoolOutputs(const RewriteBundle& bundle,
+                 std::vector<std::unique_ptr<Worker>>* workers,
+                 Database* output, MetricsRegistry* metrics) {
+  // Collector is processor 0: every other processor ships its t_out
+  // across the network.
+  for (Symbol p : bundle.derived) {
+    const int arity = bundle.arity.at(p);
+    Relation& pooled = output->Adopt(p, (*workers)[0]->TakeOutput(p));
+    metrics->AddCounter("run.out_tuples_total", pooled.size());
+    for (size_t w = 1; w < workers->size(); ++w) {
+      const Relation& out = (*workers)[w]->OutputRelation(p);
+      metrics->AddCounter("run.out_tuples_total", out.size());
+      metrics->AddCounter("run.pooling_messages", out.size());
+      metrics->AddCounter("run.pooling_bytes",
+                          out.size() * TupleWireBytes(arity));
+      pooled.InsertAll(out);
+    }
+    metrics->AddCounter("run.pooled_tuples", pooled.size());
+  }
+}
+
 StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
                                      Database* edb,
                                      const ParallelOptions& options) {
@@ -400,29 +421,13 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     }
   }
 
-  // Final pooling (Section 3, step 5). Collector is processor 0: every
-  // other processor ships its t_out across the network.
   {
     TraceScope pool_span(
         options.tracer != nullptr ? options.tracer->engine_ring() : nullptr,
         TracePhase::kPool);
-    for (Symbol p : bundle.derived) {
-      Relation& pooled = result.output.GetOrCreate(p, bundle.arity.at(p));
-      int arity = bundle.arity.at(p);
-      for (size_t w = 0; w < workers.size(); ++w) {
-        const Relation& out = workers[w]->OutputRelation(p);
-        m.AddCounter("run.out_tuples_total", out.size());
-        if (w != 0) {
-          m.AddCounter("run.pooling_messages", out.size());
-          m.AddCounter("run.pooling_bytes",
-                       out.size() * TupleWireBytes(arity));
-        }
-        for (size_t row = 0; row < out.size(); ++row) {
-          pooled.Insert(out.row(row));
-        }
-      }
-      m.AddCounter("run.pooled_tuples", pooled.size());
-    }
+    Stopwatch pool_watch;
+    PoolOutputs(bundle, &workers, &result.output, &m);
+    m.SetGauge("run.pool_seconds", pool_watch.ElapsedSeconds());
   }
   m.SetGauge("run.wall_seconds", result.wall_seconds);
   ProjectScalarsFromMetrics(&result);
@@ -441,6 +446,7 @@ StatusOr<ParallelResult> RunParallelStratified(
 
   ParallelResult total;
   Stopwatch watch;
+  double pool_seconds = 0;  // summed over strata (gauges do not add)
   total.workers.resize(num_processors);
   total.worker_rounds.resize(num_processors);
   total.channel_matrix.assign(num_processors,
@@ -469,17 +475,11 @@ StatusOr<ParallelResult> RunParallelStratified(
 
     // Pooled outputs of this stratum feed later strata as base inputs.
     for (Symbol p : strat.strata[s]) {
-      const Relation* pooled = result->output.Find(p);
-      Relation& into = edb->GetOrCreate(p, pooled->arity());
-      for (size_t row = 0; row < pooled->size(); ++row) {
-        into.Insert(pooled->row(row));
-      }
-      Relation& out =
-          total.output.GetOrCreate(p, pooled->arity());
-      for (size_t row = 0; row < pooled->size(); ++row) {
-        out.Insert(pooled->row(row));
-      }
+      std::unique_ptr<Relation> pooled = result->output.Release(p);
+      edb->GetOrCreate(p, pooled->arity()).InsertAll(*pooled);
+      total.output.Adopt(p, std::move(pooled));
     }
+    pool_seconds += result->metrics.gauge("run.pool_seconds");
 
     // Aggregate statistics: counters add across strata; the scalar
     // fields are re-projected from the merged registry at the end.
@@ -515,6 +515,7 @@ StatusOr<ParallelResult> RunParallelStratified(
   }
   total.wall_seconds = watch.ElapsedSeconds();
   total.metrics.SetGauge("run.wall_seconds", total.wall_seconds);
+  total.metrics.SetGauge("run.pool_seconds", pool_seconds);
   ProjectScalarsFromMetrics(&total);
   return total;
 }

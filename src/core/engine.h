@@ -5,6 +5,7 @@
 #ifndef PDATALOG_CORE_ENGINE_H_
 #define PDATALOG_CORE_ENGINE_H_
 
+#include <memory>
 #include <vector>
 
 #include "core/fault.h"
@@ -117,6 +118,18 @@ struct ParallelResult {
 StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
                                      Database* edb,
                                      const ParallelOptions& options = {});
+
+// Final pooling (Section 3, step 5) over workers that have stopped
+// running. For each derived predicate, worker 0's t_out relation moves
+// into `output` under the original name and workers 1..P-1 are merged
+// into it in order (Relation::InsertAll): worker 0's rows first, then
+// each later worker's new rows in its own order. Adds the
+// run.out_tuples_total, run.pooling_messages, run.pooling_bytes and
+// run.pooled_tuples counters to `metrics`. The workers are left without
+// their t_out relations.
+void PoolOutputs(const RewriteBundle& bundle,
+                 std::vector<std::unique_ptr<Worker>>* workers,
+                 Database* output, MetricsRegistry* metrics);
 
 // Stratified parallel evaluation: the program's dependency-graph
 // condensation is evaluated bottom-up, one parallel run per stratum

@@ -164,6 +164,12 @@ const Relation& Worker::OutputRelation(Symbol p) const {
   return *rel;
 }
 
+std::unique_ptr<Relation> Worker::TakeOutput(Symbol p) {
+  std::unique_ptr<Relation> rel = local_db_.Release(bundle_->out_name.at(p));
+  assert(rel != nullptr);
+  return rel;
+}
+
 void Worker::AddEvalStats(const EvalStats& es) {
   stats_.firings += es.firings;
   stats_.out_inserted += es.tuples_inserted;

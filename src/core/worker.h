@@ -138,6 +138,12 @@ class Worker {
   // The worker's t_out relation for original derived predicate `p`.
   const Relation& OutputRelation(Symbol p) const;
 
+  // Moves the t_out relation for `p` out of the worker (final pooling
+  // adopts it instead of copying). Only after the worker has stopped
+  // running: afterwards it must not be stepped again, and
+  // OutputRelation(p) is no longer valid.
+  std::unique_ptr<Relation> TakeOutput(Symbol p);
+
  private:
   Worker(const RewriteBundle* bundle, int id,
          std::unordered_map<int, std::unique_ptr<Relation>> fragments,

@@ -1,6 +1,7 @@
 #include "storage/database.h"
 
 #include <cassert>
+#include <utility>
 
 namespace pdatalog {
 
@@ -26,6 +27,22 @@ const Relation* Database::Find(Symbol predicate) const {
 
 bool Database::Insert(Symbol predicate, const Tuple& tuple, int arity) {
   return GetOrCreate(predicate, arity).Insert(tuple);
+}
+
+std::unique_ptr<Relation> Database::Release(Symbol predicate) {
+  auto it = relations_.find(predicate);
+  if (it == relations_.end()) return nullptr;
+  std::unique_ptr<Relation> relation = std::move(it->second);
+  relations_.erase(it);
+  return relation;
+}
+
+Relation& Database::Adopt(Symbol predicate,
+                          std::unique_ptr<Relation> relation) {
+  assert(relation != nullptr);
+  std::unique_ptr<Relation>& slot = relations_[predicate];
+  slot = std::move(relation);
+  return *slot;
 }
 
 Status Database::LoadFacts(const Program& program) {

@@ -32,6 +32,14 @@ class Database {
 
   bool Insert(Symbol predicate, const Tuple& tuple, int arity);
 
+  // Detaches the relation for `predicate` and hands it to the caller
+  // (nullptr if absent); the database no longer lists the predicate.
+  std::unique_ptr<Relation> Release(Symbol predicate);
+
+  // Installs `relation` under `predicate`, replacing any relation
+  // already there. Returns the installed relation.
+  Relation& Adopt(Symbol predicate, std::unique_ptr<Relation> relation);
+
   // Loads all ground facts of `program` into this database.
   Status LoadFacts(const Program& program);
 

@@ -250,6 +250,28 @@ size_t Relation::InsertBlock(const Value* values, int arity, uint32_t count,
   return kept;
 }
 
+size_t Relation::InsertAll(const Relation& other) {
+  assert(other.arity_ == arity_);
+  const size_t n = other.size();
+  std::vector<Value> block(
+      std::min(n, ColumnStore::kChunkRows) * static_cast<size_t>(arity_));
+  size_t added = 0;
+  // `begin` stays chunk-aligned, so each column's rows [begin,
+  // begin + count) are one contiguous span of `other`'s store.
+  for (size_t begin = 0; begin < n; begin += ColumnStore::kChunkRows) {
+    const uint32_t count =
+        static_cast<uint32_t>(std::min(ColumnStore::kChunkRows, n - begin));
+    for (int c = 0; c < arity_; ++c) {
+      size_t run;
+      const Value* src = other.store_.ColumnSpan(c, begin, &run);
+      assert(run == count);
+      std::copy_n(src, count, block.data() + static_cast<size_t>(c) * count);
+    }
+    added += InsertBlock(block.data(), arity_, count, /*columnar=*/true);
+  }
+  return added;
+}
+
 void Relation::GrowDedup(size_t min_rows) {
   size_t cap = dedup_.empty() ? 16 : dedup_.size();
   while (cap * 3 < min_rows * 4) cap *= 2;

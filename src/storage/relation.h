@@ -291,6 +291,16 @@ class Relation {
   size_t InsertBlock(const Value* values, int arity, uint32_t count,
                      bool columnar = false);
 
+  // Set union with `other` (same arity): gathers its rows one column
+  // chunk (ColumnStore::kChunkRows rows) at a time into a columnar
+  // buffer and feeds each through InsertBlock, so the merge gets the
+  // batched hash pass and prefetched dedup probes. Rows of `other` not
+  // already present are appended in `other`'s order — the same content
+  // and order as Insert()ing its rows one by one. The dedup table grows
+  // chunk by chunk, never to the worst case up front. Returns the number
+  // of rows that were new.
+  size_t InsertAll(const Relation& other);
+
   bool Contains(const Tuple& tuple) const;
 
   // Materializes row `i` (returned by value; the storage is columnar).

@@ -105,6 +105,21 @@ TEST(CliRunTest, SequentialReport) {
       << metrics.str();
 }
 
+TEST(CliRunTest, ParallelReportShowsPoolingTime) {
+  const std::string metrics_file = testing::TempDir() + "par-metrics.json";
+  StatusOr<CliOptions> options = ParseCliArgs(
+      {"--scheme=example3", "--metrics=" + metrics_file, "p.dl"});
+  ASSERT_TRUE(options.ok());
+  StatusOr<std::string> report = RunCli(*options, kAncestor);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find(" ms pooling\n"), std::string::npos) << *report;
+  std::ifstream in(metrics_file);
+  std::stringstream metrics;
+  metrics << in.rdbuf();
+  EXPECT_NE(metrics.str().find("\"run.pool_seconds\""), std::string::npos)
+      << metrics.str();
+}
+
 TEST(CliRunTest, NaiveReport) {
   StatusOr<CliOptions> options = ParseCliArgs({"--mode=naive", "p.dl"});
   ASSERT_TRUE(options.ok());

@@ -61,5 +61,26 @@ TEST(DatabaseTest, MoveTransfersRelations) {
   EXPECT_EQ(moved.Find(p)->size(), 1u);
 }
 
+TEST(DatabaseTest, ReleaseAndAdoptMoveARelation) {
+  SymbolTable symbols;
+  Database from;
+  Symbol p = symbols.Intern("p");
+  Symbol q = symbols.Intern("q");
+  from.Insert(p, Tuple{3}, 1);
+  const Relation* original = from.Find(p);
+  std::unique_ptr<Relation> rel = from.Release(p);
+  EXPECT_EQ(rel.get(), original);
+  EXPECT_EQ(from.Find(p), nullptr);
+  EXPECT_EQ(from.Release(p), nullptr);
+
+  Database to;
+  to.Insert(q, Tuple{1}, 1);
+  Relation& adopted = to.Adopt(q, std::move(rel));  // replaces q's relation
+  EXPECT_EQ(&adopted, original);
+  EXPECT_EQ(to.Find(q), original);
+  EXPECT_TRUE(to.Find(q)->Contains(Tuple{3}));
+  EXPECT_FALSE(to.Find(q)->Contains(Tuple{1}));
+}
+
 }  // namespace
 }  // namespace pdatalog

@@ -1,5 +1,9 @@
 #include "core/engine.h"
 
+#include <string>
+#include <thread>
+
+#include "core/partition.h"
 #include "gtest/gtest.h"
 #include "parallel_test_util.h"
 #include "workload/generators.h"
@@ -196,6 +200,139 @@ TEST_P(EngineModeTest, GeneralSchemeNonLinearAncestor) {
   EXPECT_EQ(
       result->output.Find(symbols.Lookup("anc"))->ToSortedString(symbols),
       seq_db.Find(symbols.Lookup("anc"))->ToSortedString(symbols));
+}
+
+// Runs the workers of `bundle` on their own network the way
+// RunParallel does — one thread each, or its deterministic round-robin
+// schedule (retransmitting when quiescent) — and returns them stopped,
+// with every t_out still in place for the test to read before pooling.
+struct WorkerRun {
+  std::unique_ptr<CommNetwork> network;
+  std::unique_ptr<TerminationDetector> detector;
+  std::vector<std::unique_ptr<Worker>> workers;
+};
+
+void RunWorkers(const RewriteBundle& bundle, Database* edb,
+                const ParallelOptions& options, WorkerRun* run) {
+  const int P = bundle.num_processors;
+  run->network = std::make_unique<CommNetwork>(P);
+  run->detector = std::make_unique<TerminationDetector>(P);
+  if (options.faults.any()) run->network->InstallFaults(options.faults);
+  if (options.retransmit) run->network->EnableRetransmit();
+  StatusOr<PartitionResult> partition = PartitionBases(bundle, *edb);
+  ASSERT_TRUE(partition.ok());
+  for (int i = 0; i < P; ++i) {
+    StatusOr<std::unique_ptr<Worker>> worker = Worker::Create(
+        &bundle, i, edb, std::move(partition->fragments[i]),
+        run->network.get(), run->detector.get());
+    ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+    (*worker)->set_retransmit(options.retransmit);
+    run->workers.push_back(std::move(*worker));
+  }
+  if (options.use_threads) {
+    std::vector<Status> status(P);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < P; ++i) {
+      Worker* worker = run->workers[i].get();
+      threads.emplace_back([worker, &status, i] {
+        status[i] = worker->RunLoop();
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const Status& st : status) ASSERT_TRUE(st.ok()) << st.ToString();
+    return;
+  }
+  for (auto& worker : run->workers) ASSERT_TRUE(worker->Init().ok());
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (auto& worker : run->workers) {
+      StatusOr<bool> stepped = worker->Step();
+      ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+      if (*stepped) progress = true;
+    }
+    if (!progress && options.retransmit) {
+      size_t resent = 0;
+      for (auto& worker : run->workers) resent += worker->RetransmitUnacked();
+      if (resent > 0) progress = true;
+    }
+    if (!progress && run->network->AnyPending()) progress = true;
+  }
+}
+
+void ExpectSameRows(const Relation& got, const Relation& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.row(i), want.row(i)) << "row " << i;
+  }
+}
+
+TEST(EnginePoolingTest, PooledRelationIsTheOrderedUnionOfWorkerOutputs) {
+  // Example 3 on a random digraph: the same anc tuple is derived on
+  // several processors, so pooling must drop the overlap while keeping
+  // worker 0's rows first, then each later worker's new rows in order.
+  auto setup = MakeAncestorSetup();
+  GenRandomGraph(&setup->symbols, &setup->edb, "par", 30, 90, 5);
+  const std::string expected = SequentialAncestor(setup.get(), nullptr);
+  const Symbol anc = setup->anc();
+  for (int P : {1, 2, 4}) {
+    for (bool threads : {false, true}) {
+      for (bool faults : {false, true}) {
+        SCOPED_TRACE("P=" + std::to_string(P) +
+                     (threads ? " threads" : " round-robin") +
+                     (faults ? " faults+retransmit" : ""));
+        RewriteBundle bundle =
+            MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, P);
+        ParallelOptions options;
+        options.use_threads = threads;
+        if (faults) {
+          options.faults.drop = 0.2;
+          options.faults.duplicate = 0.1;
+          options.faults.reorder = 0.1;
+          options.retransmit = true;
+        }
+
+        WorkerRun run;
+        RunWorkers(bundle, &setup->edb, options, &run);
+        if (HasFatalFailure()) return;
+        Relation reference(2);
+        uint64_t out_total = 0;
+        for (const auto& worker : run.workers) {
+          const Relation& out = worker->OutputRelation(anc);
+          out_total += out.size();
+          for (size_t i = 0; i < out.size(); ++i) reference.Insert(out.row(i));
+        }
+        Database pooled;
+        MetricsRegistry metrics;
+        PoolOutputs(bundle, &run.workers, &pooled, &metrics);
+        ExpectSameRows(*pooled.Find(anc), reference);
+        EXPECT_EQ(pooled.Find(anc)->ToSortedString(setup->symbols),
+                  expected);
+        EXPECT_EQ(metrics.counter("run.out_tuples_total"), out_total);
+        EXPECT_EQ(metrics.counter("run.pooled_tuples"), reference.size());
+        if (P > 1) {
+          EXPECT_GT(out_total, reference.size());  // the overlap case
+        }
+
+        StatusOr<ParallelResult> result =
+            RunParallel(bundle, &setup->edb, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(DumpOutput(*result, setup->symbols, anc), expected);
+        if (P > 1) {
+          EXPECT_GT(result->out_tuples_total, result->pooled_tuples);
+          if (faults) {
+            EXPECT_TRUE(result->faults.any());
+          }
+        }
+        ASSERT_EQ(result->metrics.gauges().count("run.pool_seconds"), 1u);
+        EXPECT_GE(result->metrics.gauge("run.pool_seconds"), 0.0);
+        // The round-robin schedule is deterministic, so RunParallel's
+        // workers end where the ones above did and its pooled relation
+        // must match the reference row for row.
+        if (!threads) ExpectSameRows(*result->output.Find(anc), reference);
+      }
+    }
+  }
 }
 
 }  // namespace

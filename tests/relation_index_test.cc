@@ -1,9 +1,11 @@
 // Deeper coverage of the flat column index: incremental extension
 // interleaved with inserts, probing a frozen prefix while the relation
-// keeps growing (the worker pattern: scan bounds frozen per round), and
-// a randomized differential check against a naive scan.
+// keeps growing (the worker pattern: scan bounds frozen per round), a
+// randomized differential check against a naive scan, and the bulk
+// merge (InsertAll) against a row-by-row union.
 #include <random>
 #include <set>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "storage/relation.h"
@@ -238,6 +240,78 @@ TEST(RelationIndexTest, SkewedKeyLongChains) {
   ASSERT_EQ(mid.size(), 1000u);
   EXPECT_EQ(mid.front(), 2000u);
   EXPECT_EQ(mid.back(), 2999u);
+}
+
+// Inserts random rows of `rel`'s arity, each value in [0, range), until
+// the relation holds `rows` rows (or, at arity 0, its one row).
+void FillRandom(Relation* rel, size_t rows, Value range, std::mt19937* rng) {
+  std::uniform_int_distribution<Value> value(0, range - 1);
+  std::vector<Value> row(rel->arity());
+  while (rel->size() < rows) {
+    for (Value& v : row) v = value(*rng);
+    rel->InsertView(row.data(), rel->arity());
+    if (rel->arity() == 0) break;
+  }
+}
+
+// The reference union: Insert() every row of `from`, one at a time.
+size_t InsertRowByRow(Relation* into, const Relation& from) {
+  size_t added = 0;
+  for (size_t i = 0; i < from.size(); ++i) added += into->Insert(from.row(i));
+  return added;
+}
+
+void ExpectSameRows(const Relation& got, const Relation& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.row(i), want.row(i)) << "row " << i;
+  }
+}
+
+TEST(RelationIndexTest, InsertAllMatchesRowByRowUnion) {
+  // Arity 0 (one possible row), 2, and 6 (heap-spilled Tuples). The
+  // source spans three column chunks; the target is pre-filled past
+  // its first chunk edge from the same value range, so the merge both
+  // skips rows already present and appends across chunk edges.
+  for (int arity : {0, 2, 6}) {
+    SCOPED_TRACE("arity " + std::to_string(arity));
+    const Value range = arity == 2 ? 200 : 6;
+    std::mt19937 rng(17 + arity);
+    Relation source(arity);
+    FillRandom(&source, 2 * ColumnStore::kChunkRows + 1000, range, &rng);
+    Relation merged(arity);
+    Relation reference(arity);
+    FillRandom(&merged, ColumnStore::kChunkRows + 500, range, &rng);
+    InsertRowByRow(&reference, merged);
+
+    const size_t added = merged.InsertAll(source);
+    EXPECT_EQ(added, InsertRowByRow(&reference, source));
+    ExpectSameRows(merged, reference);
+    if (arity > 0) {
+      EXPECT_GT(added, 0u);
+      EXPECT_LT(added, source.size());  // the overlap was really hit
+    }
+
+    // A source made only of duplicates adds nothing and leaves the
+    // dedup set intact for later single-row inserts.
+    EXPECT_EQ(merged.InsertAll(source), 0u);
+    ExpectSameRows(merged, reference);
+    for (size_t i = 0; i < source.size(); ++i) {
+      ASSERT_FALSE(merged.Insert(source.row(i))) << "row " << i;
+    }
+
+    // An empty source adds nothing, into an empty or a filled target.
+    Relation empty(arity);
+    EXPECT_EQ(merged.InsertAll(empty), 0u);
+    ExpectSameRows(merged, reference);
+    Relation fresh(arity);
+    EXPECT_EQ(fresh.InsertAll(empty), 0u);
+    EXPECT_TRUE(fresh.empty());
+
+    // Into an empty target, the merge is a copy in source order.
+    EXPECT_EQ(fresh.InsertAll(source), source.size());
+    ExpectSameRows(fresh, source);
+  }
 }
 
 }  // namespace

@@ -147,6 +147,12 @@ TEST(StratifiedEngineTest, AggregatedStatsConsistent) {
     for (const RoundLog& log : rounds) log_firings += log.firings;
   }
   EXPECT_EQ(log_firings, result->total_firings);
+
+  // Pooling time is summed over strata and is part of the total wall.
+  ASSERT_EQ(result->metrics.gauges().count("run.pool_seconds"), 1u);
+  EXPECT_GE(result->metrics.gauge("run.pool_seconds"), 0.0);
+  EXPECT_LE(result->metrics.gauge("run.pool_seconds"),
+            result->metrics.gauge("run.wall_seconds"));
 }
 
 }  // namespace
