@@ -24,9 +24,19 @@ void AblateFragmentation() {
       AncestorHarness h;
       Database base;
       bench::GenerateTopology(topology, &h.symbols, &base, "par", 7);
-      LinearSchemeOptions options = h.Example3(P);
-      options.fragment_bases = fragment;
-      ParallelResult r = h.RunScheme(base, options, P);
+      StatusOr<RewriteBundle> bundle =
+          RewriteLinearSirup(h.program, h.info, h.sirup, P, h.Example3(P));
+      if (!bundle.ok()) AncestorHarness::Die("rewrite", bundle.status());
+      if (!fragment) {
+        // Same constraints, but every processor reads the whole base.
+        for (BaseOccurrence& occ : bundle->base_occurrences) {
+          occ.access = BaseOccurrence::Access::kReplicated;
+        }
+      }
+      Database edb = h.CloneEdb(base);
+      StatusOr<ParallelResult> result = RunParallel(*bundle, &edb);
+      if (!result.ok()) AncestorHarness::Die("parallel", result.status());
+      const ParallelResult& r = *result;
       uint64_t rows = 0;
       for (const WorkerStats& w : r.workers) rows += w.rows_examined;
       uint64_t replicated =

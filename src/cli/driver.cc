@@ -48,7 +48,6 @@ Status UsageError(const std::string& message) {
       " [--rho=R] [--seed=S] [--dump=pred] [--facts=pred:file]"
       " [--faults=drop:P,dup:P,reorder:P,corrupt:P,delay:P,polls:N]"
       " [--retransmit] [--block-tuples=N]"
-      " [--rebalance-skew=R] [--rebalance-buckets=N]"
       " [--trace=FILE] [--metrics=FILE] [--profile[=FILE]]"
       " [--trace-ring-kb=N] [--incremental]"
       " [--serve[=PORT]] [--serve-batch=N] [--telemetry-port=P]"
@@ -114,9 +113,6 @@ StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
                                     std::string* scheme_note) {
   using Scheme = CliOptions::Scheme;
   const int P = options.processors;
-  // Rebalancing moves hash buckets between workers mid-run, which a
-  // fragmented base cannot follow; keep bases replicated instead.
-  const bool rebalancing = options.rebalance_skew > 0.0;
 
   // Schemes other than kGeneral need a linear sirup.
   StatusOr<LinearSirup> sirup = ExtractLinearSirup(program, info);
@@ -132,7 +128,6 @@ StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
         *scheme_note =
             "auto: dataflow cycle found; communication-free scheme "
             "(Theorem 3)";
-        if (rebalancing) free_scheme->fragment_bases = false;
         return RewriteLinearSirup(program, info, *sirup, P, *free_scheme);
       }
       scheme = Scheme::kExample3;
@@ -148,8 +143,7 @@ StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
       return RewriteGeneral(
           program, info, P,
           AutoGeneralSpecs(program, info, P, options.seed,
-                           options.rule_vars),
-          /*fragment_bases=*/!rebalancing);
+                           options.rule_vars));
     }
     case Scheme::kExample1: {
       if (!sirup.ok()) return sirup.status();
@@ -158,7 +152,6 @@ StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
       if (!free_scheme.ok()) return free_scheme.status();
       *scheme_note = "Example 1: communication-free (needs a dataflow "
                      "cycle; base relation replicated)";
-      if (rebalancing) free_scheme->fragment_bases = false;
       return RewriteLinearSirup(program, info, *sirup, P, *free_scheme);
     }
     case Scheme::kExample2: {
@@ -192,7 +185,6 @@ StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
         if (v != kInvalidSymbol) o.v_e.push_back(v);
       }
       o.h = DiscriminatingFunction::UniformHash(P, options.seed);
-      if (rebalancing) o.fragment_bases = false;
       *scheme_note = "Example 3 style: hash partitioning on the recursive "
                      "atom's variables";
       return RewriteLinearSirup(program, info, *sirup, P, o);
@@ -328,17 +320,6 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
         }
         pos = comma == std::string::npos ? rest.size() : comma + 1;
       }
-    } else if (ConsumePrefix(arg, "--rebalance-skew=", &rest)) {
-      options.rebalance_skew = std::atof(rest.c_str());
-      if (options.rebalance_skew < 1.0) {
-        return UsageError("rebalance-skew must be >= 1 (max/mean busy)");
-      }
-    } else if (ConsumePrefix(arg, "--rebalance-buckets=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 1 || value > 65536) {
-        return UsageError("rebalance-buckets must be in [1, 65536]");
-      }
-      options.rebalance_buckets = value;
     } else if (ConsumePrefix(arg, "--block-tuples=", &rest)) {
       int value = std::atoi(rest.c_str());
       if (value < 1 || static_cast<uint32_t>(value) > kMaxBlockTuples) {
@@ -578,8 +559,11 @@ StatusOr<std::string> RunCli(const CliOptions& options,
       StatusOr<EvalStats> batch = eval->Evaluate();
       if (!batch.ok()) return batch.status();
       stats = *batch;
+      // Base relations already hold every row they were seeded from;
+      // only the derived ones have anything to copy.
       for (const auto& [pred, rel] : eval->db().relations()) {
-        edb.GetOrCreate(pred, rel->arity()).InsertAll(*rel);
+        Relation& dst = edb.GetOrCreate(pred, rel->arity());
+        if (info.IsDerived(pred)) dst.InsertAll(*rel);
       }
       out += "mode: sequential incremental\n";
     } else if (options.mode == CliOptions::Mode::kSequential) {
@@ -690,10 +674,6 @@ StatusOr<std::string> RunCli(const CliOptions& options,
   popts.block_tuples = options.block_tuples;
   // Corruption flips wire bytes, so it needs the serialized channels.
   if (popts.faults.corrupt > 0) popts.serialize_messages = true;
-  popts.rebalance.skew_threshold = options.rebalance_skew;
-  popts.rebalance.buckets_per_processor =
-      static_cast<uint32_t>(options.rebalance_buckets);
-  popts.rebalance.net_per_message = options.net_cost;
   std::unique_ptr<Tracer> tracer;
   if (!options.trace_file.empty() || options.profile) {
     tracer =
@@ -720,15 +700,6 @@ StatusOr<std::string> RunCli(const CliOptions& options,
            ", corrupted " + U64(result->faults.corrupted) + ", delayed " +
            U64(result->faults.delayed) + "; retransmitted " +
            U64(result->faults.retransmitted) + "\n";
-  }
-  if (options.rebalance_skew > 0.0) {
-    out += "rebalance: " + U64(result->metrics.counter("rebalance.moves")) +
-           " moves, " +
-           U64(result->metrics.counter("rebalance.replications")) +
-           " replications in " +
-           U64(result->metrics.counter("rebalance.rounds")) + " epochs (" +
-           U64(result->metrics.counter("rebalance.windows")) +
-           " windows observed)\n";
   }
   for (Symbol p : bundle->derived) {
     out += "  " + symbols.Name(p) + ": " +

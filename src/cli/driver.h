@@ -71,17 +71,6 @@
 //                               (destination, predicate) and ship as one
 //                               frame per block, flushing mid-round at N
 //                               tuples (default 256; 1 = per-tuple frames)
-//     --rebalance-skew=R        parallel mode: enable skew-adaptive
-//                               repartitioning — when max/mean busy time
-//                               reaches R (>= 1), the hottest hash bucket
-//                               of the straggler is moved to the idlest
-//                               worker (or replicated, when the cost
-//                               model prefers it). Keeps base relations
-//                               replicated instead of fragmented. Off by
-//                               default; decisions appear in --profile
-//                               and as rebalance.* metrics
-//     --rebalance-buckets=N     buckets per processor for the remap
-//                               overlay (default 32)
 //     --stratified              sequential modes only: evaluate SCC
 //                               strata bottom-up
 //     --trace=FILE              write a Chrome-trace (Perfetto) JSON of
@@ -169,10 +158,6 @@ struct CliOptions {
   FaultSpec faults;
   bool retransmit = false;
   int block_tuples = 256;
-  // --rebalance-skew / --rebalance-buckets (parallel mode only;
-  // 0 = rebalancing off).
-  double rebalance_skew = 0.0;
-  int rebalance_buckets = 32;
   // --trace / --metrics observability exports (empty = disabled).
   std::string trace_file;
   std::string metrics_file;

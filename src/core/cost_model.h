@@ -42,36 +42,6 @@ struct CostBreakdown {
 CostBreakdown BspCost(const std::vector<std::vector<RoundLog>>& rounds,
                       const CostParams& params);
 
-// Forward-vs-replicate choice for one hot bucket (Section 6's
-// redundancy <-> communication trade-off, applied locally by the skew
-// rebalancer). Forwarding the bucket to the idlest worker ships roughly
-// `bucket_tuples` messages and re-concentrates all of its work there;
-// replicating instead (every sender keeps its share of the bucket
-// local, kKeepLocalDest) splits the work across the senders and ships
-// nothing, at the price of duplicate derivations where senders produce
-// the same tuple.
-//
-// `headroom` is the load gap between the straggler and the idlest
-// worker: forwarding improves the makespan only while the bucket fits
-// into it (idlest + bucket < straggler). `spread_senders` counts the
-// distinct producers of the bucket's tuples EXCLUDING the straggler —
-// replication hands each producer its own share, so producers other
-// than the straggler are the only ones that relieve it. Replication
-// wins when there are at least two of them and either
-//
-//   * the bucket does not fit the headroom (forwarding would only
-//     relocate the straggler), or
-//   * the wire beats the redundancy:
-//     bucket_tuples * net  >  bucket_tuples * (spread - 1) * cpu.
-inline bool PreferReplication(uint64_t bucket_tuples, uint64_t headroom,
-                              int spread_senders, double cpu_per_firing,
-                              double net_per_message) {
-  if (bucket_tuples == 0 || spread_senders < 2) return false;
-  if (bucket_tuples > headroom) return true;
-  return net_per_message >
-         cpu_per_firing * static_cast<double>(spread_senders - 1);
-}
-
 }  // namespace pdatalog
 
 #endif  // PDATALOG_CORE_COST_MODEL_H_

@@ -68,51 +68,21 @@ DiscriminatingFunction DiscriminatingFunction::Custom(
   return f;
 }
 
-DiscriminatingFunction DiscriminatingFunction::Remapped(
-    const DiscriminatingFunction& base, uint32_t num_buckets,
-    int local_owner) {
-  assert(base.kind == Kind::kUniformHash ||
-         base.kind == Kind::kSymmetricHash);
-  assert(base.num_processors > 0 && num_buckets > 0 &&
-         num_buckets % static_cast<uint32_t>(base.num_processors) == 0);
-  DiscriminatingFunction fn;
-  fn.kind = Kind::kRemapped;
-  fn.base_kind = base.kind;
-  fn.num_processors = base.num_processors;
-  fn.seed = base.seed;
-  fn.num_buckets = num_buckets;
-  fn.constant = local_owner;
-  return fn;
-}
-
-uint64_t DiscriminatingFunction::RawHash(const Value* values, int n) const {
-  Kind k = kind == Kind::kRemapped ? base_kind : kind;
-  switch (k) {
+int DiscriminatingFunction::Evaluate(const Value* values, int n) const {
+  switch (kind) {
     case Kind::kUniformHash: {
+      if (num_processors <= 0) return 0;  // malformed; keep % defined
       uint64_t h = seed;
       for (int i = 0; i < n; ++i) h = HashCombine(h, values[i]);
-      return h;
+      return static_cast<int>(h % static_cast<uint64_t>(num_processors));
     }
     case Kind::kSymmetricHash: {
+      if (num_processors <= 0) return 0;
       // XOR of per-value mixes: invariant under permutation of the
       // sequence, as required by the Theorem 3 construction.
       uint64_t h = 0;
       for (int i = 0; i < n; ++i) h ^= Mix64(values[i] ^ seed);
-      return h;
-    }
-    default:
-      assert(false && "RawHash is only defined for the hash kinds");
-      return 0;
-  }
-}
-
-int DiscriminatingFunction::Evaluate(const Value* values, int n) const {
-  switch (kind) {
-    case Kind::kUniformHash:
-    case Kind::kSymmetricHash: {
-      if (num_processors <= 0) return 0;  // malformed; keep % defined
-      return static_cast<int>(RawHash(values, n) %
-                              static_cast<uint64_t>(num_processors));
+      return static_cast<int>(h % static_cast<uint64_t>(num_processors));
     }
     case Kind::kLinear: {
       assert(n == static_cast<int>(coeffs.size()));
@@ -153,19 +123,6 @@ int DiscriminatingFunction::Evaluate(const Value* values, int n) const {
       if (coin < keep_probability) return constant;
       uint64_t u = Mix64(mix ^ 0xabcdefULL);
       return static_cast<int>(u % static_cast<uint64_t>(num_processors));
-    }
-    case Kind::kRemapped: {
-      if (num_processors <= 0 || num_buckets == 0) return 0;
-      uint32_t bucket = BucketOf(values, n);
-      auto it = bucket_overrides.find(bucket);
-      if (it == bucket_overrides.end()) {
-        // num_buckets is a multiple of num_processors, so this equals
-        // the base hash's RawHash % num_processors: an unmoved bucket
-        // routes exactly where the base function would.
-        return static_cast<int>(bucket %
-                                static_cast<uint32_t>(num_processors));
-      }
-      return it->second == kKeepLocalDest ? constant : it->second;
     }
   }
   return 0;

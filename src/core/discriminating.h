@@ -27,16 +27,6 @@
 //                         between kConstant (rho=1) and kUniformHash
 //                         (rho=0); realizes the Section 6 trade-off
 //                         spectrum.
-//   * kRemapped         — adaptive overlay over a hash base: the raw
-//                         hash is first reduced to one of `num_buckets`
-//                         buckets (num_buckets a multiple of
-//                         num_processors, so an unmoved bucket lands on
-//                         the same processor the base hash picks), then
-//                         per-bucket overrides broadcast by the skew
-//                         rebalancer redirect hot buckets — either to a
-//                         specific processor or, with kKeepLocalDest, to
-//                         whichever processor evaluates the function
-//                         (Section 6's redundancy fallback).
 #ifndef PDATALOG_CORE_DISCRIMINATING_H_
 #define PDATALOG_CORE_DISCRIMINATING_H_
 
@@ -61,14 +51,7 @@ struct DiscriminatingFunction {
     kConstant,
     kKeepOrHash,
     kCustom,
-    kRemapped,
   };
-
-  // kRemapped bucket override destination meaning "keep the tuple at the
-  // evaluating processor" (the `constant` field names that processor for
-  // a standalone function; the rebalancer's per-worker views substitute
-  // their own id).
-  static constexpr int kKeepLocalDest = -1;
 
   Kind kind = Kind::kUniformHash;
   int num_processors = 1;  // kUniformHash/kSymmetricHash/kKeepOrHash range
@@ -91,15 +74,6 @@ struct DiscriminatingFunction {
   // indices (see WithDenseRemap). Empty = return raw values.
   std::unordered_map<int, int> remap;
 
-  // kRemapped: bucket count (a positive multiple of num_processors) and
-  // the rebalancer's bucket -> destination overrides. Buckets absent
-  // from the map keep their base assignment `bucket % num_processors`;
-  // a kKeepLocalDest entry resolves to `constant`. `base_kind` names the
-  // wrapped hash (kUniformHash or kSymmetricHash).
-  uint32_t num_buckets = 0;
-  std::unordered_map<uint32_t, int> bucket_overrides;
-  Kind base_kind = Kind::kUniformHash;
-
   // kCustom: arbitrary user routing policy. Must be pure (same input ->
   // same output, on every processor) and map into [0, num_processors).
   std::function<int(const Value*, int)> custom;
@@ -118,28 +92,9 @@ struct DiscriminatingFunction {
                                            uint64_t seed = 0x5eed);
   static DiscriminatingFunction Custom(
       std::function<int(const Value*, int)> fn, int num_processors);
-  // Overlay over `base` (kUniformHash or kSymmetricHash): same hash,
-  // reduced to `num_buckets` buckets (must be a positive multiple of
-  // base.num_processors) before the processor projection, so overrides
-  // can be installed per bucket. `local_owner` resolves kKeepLocalDest
-  // entries.
-  static DiscriminatingFunction Remapped(const DiscriminatingFunction& base,
-                                         uint32_t num_buckets,
-                                         int local_owner);
 
   // The g function of kLinear: a salted hash bit of the constant.
   int G(Value v) const { return static_cast<int>(Mix64(v ^ seed) & 1); }
-
-  // The pre-projection hash of the hash kinds (kUniformHash,
-  // kSymmetricHash, and kRemapped via its base_kind) — what Evaluate
-  // reduces mod num_processors. Other kinds have no raw hash; asserts.
-  uint64_t RawHash(const Value* values, int n) const;
-  // kRemapped: the bucket of a value sequence (RawHash % num_buckets).
-  uint32_t BucketOf(const Value* values, int n) const {
-    return num_buckets == 0
-               ? 0
-               : static_cast<uint32_t>(RawHash(values, n) % num_buckets);
-  }
 
   int Evaluate(const Value* values, int n) const;
 };
@@ -157,7 +112,7 @@ class DiscriminatingRegistry : public ConstraintEvaluator {
   }
   int size() const { return static_cast<int>(functions_.size()); }
 
-  int Evaluate(int function, const Value* values, int n) const override;
+  int Evaluate(int function, const Value* values, int n) const final;
 
  private:
   std::vector<DiscriminatingFunction> functions_;

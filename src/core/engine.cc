@@ -140,60 +140,6 @@ void AbsorbFaultCounters(const FaultCounters& f, MetricsRegistry* m) {
   m->AddCounter("faults.corrupt_discarded", f.corrupt_discarded);
 }
 
-// Validates the rebalance knobs and picks the function the coordinator
-// manages: the most-used determined kUniformHash/kSymmetricHash send
-// function. Only hash kinds carry the bucket structure the overlay
-// needs; a bundle routing exclusively through other kinds (linear,
-// table lookup, keep-or-hash) cannot be rebalanced.
-StatusOr<int> ResolveRebalanceFunction(const RewriteBundle& bundle,
-                                       const RebalanceOptions& opts) {
-  if (opts.skew_threshold < 1.0) {
-    return Status::InvalidArgument(
-        "rebalance skew threshold must be >= 1 (max/mean busy is never "
-        "below 1)");
-  }
-  if (opts.buckets_per_processor < 1 ||
-      opts.buckets_per_processor > (1u << 16)) {
-    return Status::InvalidArgument(
-        "rebalance buckets_per_processor must be in [1, 65536]");
-  }
-  for (const BaseOccurrence& occ : bundle.base_occurrences) {
-    if (occ.access == BaseOccurrence::Access::kFragment) {
-      return Status::FailedPrecondition(
-          "rebalancing requires replicated base relations: a fragmented "
-          "base cannot follow a moved bucket, so the reassigned worker "
-          "would join against a missing fragment (rebuild the bundle "
-          "with fragment_bases = false)");
-    }
-  }
-  std::unordered_map<int, int> uses;
-  for (const auto& sends : bundle.sends) {
-    for (const SendSpec& spec : sends) {
-      if (!spec.determined) continue;
-      DiscriminatingFunction::Kind kind =
-          bundle.registry->function(spec.function).kind;
-      if (kind == DiscriminatingFunction::Kind::kUniformHash ||
-          kind == DiscriminatingFunction::Kind::kSymmetricHash) {
-        ++uses[spec.function];
-      }
-    }
-  }
-  int best = -1;
-  int best_uses = 0;
-  for (const auto& [fn, n] : uses) {
-    if (n > best_uses || (n == best_uses && fn < best)) {
-      best = fn;
-      best_uses = n;
-    }
-  }
-  if (best < 0) {
-    return Status::FailedPrecondition(
-        "rebalancing requires a determined uniform- or symmetric-hash "
-        "send function; this bundle has none");
-  }
-  return best;
-}
-
 // Re-derives the run-level scalar fields from the registry so the text
 // report and a metrics JSON export always agree (single source of
 // truth).
@@ -260,16 +206,6 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     if (!is_derived) edb->GetOrCreate(pred, arity);
   }
 
-  std::unique_ptr<RebalanceCoordinator> rebalance;
-  if (options.rebalance.enabled()) {
-    StatusOr<int> managed =
-        ResolveRebalanceFunction(bundle, options.rebalance);
-    if (!managed.ok()) return managed.status();
-    rebalance = std::make_unique<RebalanceCoordinator>(
-        bundle.registry.get(), *managed, bundle.num_processors,
-        options.rebalance, options.serialize_messages);
-  }
-
   StatusOr<PartitionResult> partition = PartitionBases(bundle, *edb);
   if (!partition.ok()) return partition.status();
 
@@ -299,7 +235,6 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     (*worker)->set_serialize_messages(options.serialize_messages);
     (*worker)->set_retransmit(options.retransmit);
     (*worker)->set_block_tuples(options.block_tuples);
-    if (rebalance != nullptr) (*worker)->set_rebalance(rebalance.get());
     if (options.tracer != nullptr) {
       (*worker)->set_trace(options.tracer->ring(i));
     }
@@ -394,13 +329,6 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     AbsorbWorkerStats(static_cast<int>(i), workers[i]->stats(), &m);
   }
   AbsorbFaultCounters(result.faults, &m);
-  if (rebalance != nullptr) {
-    result.rebalance_log = rebalance->TakeLog();
-    m.AddCounter("rebalance.moves", rebalance->moves());
-    m.AddCounter("rebalance.replications", rebalance->replications());
-    m.AddCounter("rebalance.rounds", rebalance->epochs());
-    m.AddCounter("rebalance.windows", rebalance->windows());
-  }
   if (options.tracer != nullptr) {
     // Fold every worker's single-writer histograms into the registry;
     // stratified runs then merge these bucket-wise across strata.
@@ -485,9 +413,6 @@ StatusOr<ParallelResult> RunParallelStratified(
     // fields are re-projected from the merged registry at the end.
     total.metrics.Merge(result->metrics);
     total.faults += result->faults;
-    for (const RebalanceLogEntry& entry : result->rebalance_log) {
-      total.rebalance_log.push_back(entry);
-    }
     for (int i = 0; i < num_processors; ++i) {
       const WorkerStats& w = result->workers[i];
       total.workers[i].rounds += w.rounds;

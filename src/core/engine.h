@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/fault.h"
-#include "core/rebalance.h"
 #include "core/rewrite.h"
 #include "core/worker.h"
 #include "obs/metrics.h"
@@ -55,12 +54,6 @@ struct ParallelOptions {
   // num_processors workers and must outlive the run. Null (the
   // default) disables tracing entirely.
   Tracer* tracer = nullptr;
-  // Skew-adaptive repartitioning (core/rebalance.h): off unless
-  // rebalance.skew_threshold > 0. Requires a bundle whose sending rules
-  // use a determined kUniformHash/kSymmetricHash function and whose
-  // base occurrences are all replicated (fragmented bases cannot follow
-  // a moved bucket, so RunParallel rejects the combination).
-  RebalanceOptions rebalance;
 };
 
 struct ParallelResult {
@@ -95,9 +88,6 @@ struct ParallelResult {
   // Injected-fault totals summed over all channels (zero when fault
   // injection is off).
   FaultCounters faults;
-  // Skew-rebalancer decisions in publish order (empty when off); the
-  // totals also appear as rebalance.* metrics.
-  std::vector<RebalanceLogEntry> rebalance_log;
   double wall_seconds = 0;
 
   // Every run-level and per-worker counter above, as named metrics

@@ -129,7 +129,6 @@ ProfileContext MakeProfileContext(const ParallelResult& result) {
       ctx.sent_by_round[i].push_back(log.sent_to);
     }
   }
-  ctx.rebalance_log = result.rebalance_log;
   ctx.metrics = &result.metrics;
   return ctx;
 }

@@ -54,8 +54,7 @@ Symbol DecoratedName(SymbolTable* symbols, const ProgramInfo& info,
 StatusOr<RewriteBundle> BuildBundle(
     const Program& program, const ProgramInfo& info, int num_processors,
     const std::vector<RuleSpecInternal>& specs,
-    std::shared_ptr<DiscriminatingRegistry> registry, bool fragment_bases,
-    bool non_redundant) {
+    std::shared_ptr<DiscriminatingRegistry> registry, bool non_redundant) {
   if (num_processors < 1) {
     return Status::InvalidArgument("num_processors must be >= 1");
   }
@@ -167,7 +166,7 @@ StatusOr<RewriteBundle> BuildBundle(
       occ.rule_index = static_cast<int>(r);
       occ.body_index = static_cast<int>(b);
       occ.access = BaseOccurrence::Access::kReplicated;
-      if (fragment_bases && spec.constrain && !spec.vars.empty()) {
+      if (spec.constrain && !spec.vars.empty()) {
         std::vector<int> positions;
         bool all_present = true;
         for (Symbol v : spec.vars) {
@@ -223,13 +222,12 @@ StatusOr<RewriteBundle> RewriteLinearSirup(
   }
 
   return BuildBundle(program, info, num_processors, specs,
-                     std::move(registry), options.fragment_bases,
-                     /*non_redundant=*/true);
+                     std::move(registry), /*non_redundant=*/true);
 }
 
 StatusOr<RewriteBundle> RewriteGeneral(
     const Program& program, const ProgramInfo& info, int num_processors,
-    const std::vector<GeneralRuleSpec>& rule_specs, bool fragment_bases) {
+    const std::vector<GeneralRuleSpec>& rule_specs) {
   if (rule_specs.size() != program.rules.size()) {
     return Status::InvalidArgument(
         "RewriteGeneral requires one GeneralRuleSpec per rule");
@@ -252,8 +250,7 @@ StatusOr<RewriteBundle> RewriteGeneral(
     if (has_recursive_atom) spec.send_functions = {spec.function};
   }
   return BuildBundle(program, info, num_processors, specs,
-                     std::move(registry), fragment_bases,
-                     /*non_redundant=*/all_constrained);
+                     std::move(registry), /*non_redundant=*/all_constrained);
 }
 
 StatusOr<RewriteBundle> RewriteTradeoff(const Program& program,
@@ -300,8 +297,7 @@ StatusOr<RewriteBundle> RewriteTradeoff(const Program& program,
     }
   }
   return BuildBundle(program, info, num_processors, specs,
-                     std::move(registry), /*fragment_bases=*/false,
-                     /*non_redundant=*/false);
+                     std::move(registry), /*non_redundant=*/false);
 }
 
 }  // namespace pdatalog

@@ -102,14 +102,14 @@ struct RewriteBundle {
 
 // Section 3. `v_r` / `v_e` are the discriminating sequences for the
 // recursive and exit rules; `h` is shared by all processors (and used
-// as h' unless `h_prime` is provided). `fragment_bases` enables the
-// b_k^i fragmentation when the sequence's variables appear in the atom.
+// as h' unless `h_prime` is provided). A base atom that holds every
+// variable of its rule's sequence is fragmented (b_k^i) by that rule's
+// function; other base atoms are replicated.
 struct LinearSchemeOptions {
   std::vector<Symbol> v_r;
   std::vector<Symbol> v_e;
   DiscriminatingFunction h;
   std::optional<DiscriminatingFunction> h_prime;
-  bool fragment_bases = true;
 };
 
 StatusOr<RewriteBundle> RewriteLinearSirup(const Program& program,
@@ -126,13 +126,15 @@ struct GeneralRuleSpec {
 
 StatusOr<RewriteBundle> RewriteGeneral(
     const Program& program, const ProgramInfo& info, int num_processors,
-    const std::vector<GeneralRuleSpec>& rule_specs, bool fragment_bases = true);
+    const std::vector<GeneralRuleSpec>& rule_specs);
 
 // Section 6. Processing rules carry no constraint; processor i routes
 // outputs with its own h_i. Requires every v_r variable to occur in the
 // recursive body atom (the section's stated restriction). With all
 // h_i = Constant(i) this is the no-communication scheme of [18]; with
-// all h_i equal to one shared h it coincides with Section 3.
+// all h_i equal to one shared h it coincides with Section 3. The exit
+// rule is constrained by h', so its base atoms fragment by h'; the
+// processing rules read their base atoms whole.
 struct TradeoffOptions {
   std::vector<Symbol> v_r;
   std::vector<Symbol> v_e;

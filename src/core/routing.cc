@@ -7,7 +7,7 @@ namespace pdatalog {
 
 TupleRouter::TupleRouter(const std::vector<SendSpec>& specs,
                          int num_processors,
-                         const ConstraintEvaluator* registry)
+                         const DiscriminatingRegistry* registry)
     : num_processors_(num_processors), registry_(registry) {
   size_t max_vars = 0;
   for (const SendSpec& spec : specs) {

@@ -25,12 +25,11 @@ class TupleRouter {
  public:
   TupleRouter() = default;
 
-  // Compiles `specs` (one processor's sending rules). `registry` must
-  // outlive the router. Accepts any ConstraintEvaluator so the skew
-  // rebalancer's per-worker RemapView can stand in for the shared
-  // registry.
+  // Compiles `specs` (one processor's sending rules). `registry` — the
+  // bundle's, whose functions also check the join constraints — must
+  // outlive the router.
   TupleRouter(const std::vector<SendSpec>& specs, int num_processors,
-              const ConstraintEvaluator* registry);
+              const DiscriminatingRegistry* registry);
 
   // Appends the destination processors of `tuple` (predicate `pred`) to
   // `dests` — deduplicated, in first-computed order, matching the
@@ -79,7 +78,7 @@ class TupleRouter {
                std::vector<int>* dests);
 
   int num_processors_ = 0;
-  const ConstraintEvaluator* registry_ = nullptr;
+  const DiscriminatingRegistry* registry_ = nullptr;
   std::unordered_map<Symbol, std::vector<SendRoute>> routes_by_pred_;
   size_t num_routes_ = 0;
 

@@ -7,7 +7,6 @@
 
 #include "core/wire.h"
 #include "obs/trace.h"
-#include "util/stopwatch.h"
 
 namespace pdatalog {
 
@@ -120,25 +119,13 @@ Status Worker::Setup(Database* edb) {
 
   // Precompile the sending rules: per-predicate routing tables with
   // resolved variable positions and flattened pattern checks, so
-  // SendTuple never re-scans the spec list. set_rebalance() rebuilds
-  // the router around its per-worker view.
-  constraint_eval_ = bundle_->registry.get();
-  router_ =
-      TupleRouter(bundle_->sends[id_], num_processors_, constraint_eval_);
+  // SendTuple never re-scans the spec list.
+  router_ = TupleRouter(bundle_->sends[id_], num_processors_,
+                        bundle_->registry.get());
 
   round_.emplace(std::move(*compiled), body_sources, heads, std::move(in_rels),
-                 constraint_eval_);
+                 bundle_->registry.get());
   return Status::Ok();
-}
-
-void Worker::set_rebalance(RebalanceCoordinator* coordinator) {
-  rebalance_ = coordinator;
-  if (coordinator == nullptr) return;
-  remap_view_ = coordinator->MakeView(id_);
-  constraint_eval_ = remap_view_.get();
-  round_->set_constraint_eval(constraint_eval_);
-  router_ =
-      TupleRouter(bundle_->sends[id_], num_processors_, constraint_eval_);
 }
 
 void Worker::set_trace(TraceRing* ring) {
@@ -402,22 +389,10 @@ void Worker::SendNewRows(Symbol pred, const Relation& out, size_t begin,
 
 StatusOr<bool> Worker::Step() {
   if (!send_status_.ok()) return send_status_;
-  // Pull the rebalancer's override epochs forward before routing
-  // anything this round: acceptance widens on publish, routing switches
-  // only once every worker has acknowledged (see core/rebalance.h).
-  if (rebalance_ != nullptr) rebalance_->Sync(id_, remap_view_.get());
   StatusOr<size_t> got = DrainChannels();
   if (!got.ok()) return got.status();
   if (*got == 0 && !round_->HasDelta()) return false;
-  if (rebalance_ != nullptr) {
-    Stopwatch round_watch;
-    ProcessRound();
-    rebalance_->ReportWindow(
-        id_, static_cast<uint64_t>(round_watch.ElapsedSeconds() * 1e9),
-        remap_view_.get());
-  } else {
-    ProcessRound();
-  }
+  ProcessRound();
   if (!send_status_.ok()) return send_status_;
   return true;
 }
@@ -495,10 +470,6 @@ Status Worker::RunLoop() {
     TraceScope idle(trace_, TracePhase::kIdle, 0,
                     trace_ != nullptr ? &profile_.idle_ns : nullptr);
     while (true) {
-      // An idle worker must keep acknowledging rebalance epochs: a
-      // publish cannot commit until every worker — including ones with
-      // no pending work — has widened its acceptance set.
-      if (rebalance_ != nullptr) rebalance_->Sync(id_, remap_view_.get());
       if (detector_->TryDetect()) return detector_->run_status();
       bool pending = false;
       for (int j = 0; j < num_processors_; ++j) {

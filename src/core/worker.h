@@ -12,7 +12,6 @@
 
 #include "core/channel.h"
 #include "core/partition.h"
-#include "core/rebalance.h"
 #include "core/rewrite.h"
 #include "core/routing.h"
 #include "core/termination.h"
@@ -114,14 +113,6 @@ class Worker {
   // (the old per-tuple protocol). Set before Init().
   void set_block_tuples(int n) { block_tuples_ = n; }
 
-  // Skew-adaptive repartitioning: route and accept through a per-worker
-  // RemapView of `coordinator`'s managed function, sync override epochs
-  // at every Step and idle poll, and report busy windows after each
-  // processing round. Null (the default) disables rebalancing. Set
-  // before Init(); must be called after Create() because it rebuilds
-  // the router around the view.
-  void set_rebalance(RebalanceCoordinator* coordinator);
-
   // Observability: record phase spans (init/drain/probe/insert/encode/
   // flush/idle) and round instants on `ring`. The ring must be owned by
   // this worker's thread (the engine hands worker i ring i); it is also
@@ -201,11 +192,6 @@ class Worker {
   // Precompiled sending rules (pattern checks + routing positions per
   // predicate; see core/routing.h), built once in Setup().
   TupleRouter router_;
-  // Hash-constraint + routing evaluator: the shared registry, or the
-  // rebalancer's per-worker view when set_rebalance was called.
-  const ConstraintEvaluator* constraint_eval_ = nullptr;
-  RebalanceCoordinator* rebalance_ = nullptr;
-  std::unique_ptr<RemapView> remap_view_;
   std::vector<int> dests_;              // scratch for SendNewRows
   std::vector<uint32_t> route_offsets_; // per-row dest ranges into dests_
   std::vector<Value> send_rows_;        // row-major gather buffer

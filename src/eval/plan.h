@@ -40,8 +40,10 @@
 
 namespace pdatalog {
 
-// Evaluates hash constraints. Implemented by
-// core/discriminating.h:DiscriminatingRegistry.
+// Evaluates hash constraints: a step keeps a binding iff
+// `Evaluate(function, v(r)) == target`. Implemented by
+// core/discriminating.h:DiscriminatingRegistry, whose functions are fixed
+// for the whole run; tests substitute fakes.
 class ConstraintEvaluator {
  public:
   virtual ~ConstraintEvaluator() = default;
@@ -49,25 +51,6 @@ class ConstraintEvaluator {
   // Returns the processor id assigned by discriminating function
   // `function` to the ground sequence `values[0..n)`.
   virtual int Evaluate(int function, const Value* values, int n) const = 0;
-
-  // Whether processor `target` may process a ground instance whose
-  // discriminating values are `values[0..n)`. The default is the exact
-  // constraint `h(v(r)) = target`; adaptive overlays widen it so a
-  // processor keeps accepting buckets that were routed to it before a
-  // remap (acceptance must only ever grow during a run — shrinking it
-  // would drop in-flight tuples and lose derivations).
-  virtual bool Accepts(int function, const Value* values, int n,
-                       int target) const {
-    return Evaluate(function, values, n) == target;
-  }
-
-  // Attributes one successful firing to the ground sequence's hash
-  // bucket. The executor calls this once per firing and constraint, so
-  // an adaptive overlay can see where join work concentrates (routed
-  // tuple counts alone cannot: a key's work is its deltas times its
-  // join fan-in). No-op by default.
-  virtual void ChargeFiring(int function, const Value* values,
-                            int n) const {}
 };
 
 // Where each argument position of a step (or the head) gets its value.
@@ -426,8 +409,9 @@ class JoinRunner {
     Value vals[32];
     for (size_t i = 0; i < ids.size(); ++i) vals[i] = bindings_[ids[i]];
     assert(constraint_eval_ != nullptr);
-    return constraint_eval_->Accepts(c.function, vals,
-                                     static_cast<int>(ids.size()), c.target);
+    return constraint_eval_->Evaluate(c.function, vals,
+                                      static_cast<int>(ids.size())) ==
+           c.target;
   }
 
   void Fire() {
@@ -439,16 +423,6 @@ class JoinRunner {
                    : bindings_[recipe[c].var];
     }
     ++stats_->firings;
-    // Per-bucket work accounting for adaptive overlays (no-op on the
-    // plain registry); the constraint vars are still bound here.
-    for (size_t ci = 0; ci < compiled_.rule_.constraints.size(); ++ci) {
-      const HashConstraint& c = compiled_.rule_.constraints[ci];
-      const std::vector<int>& ids = compiled_.constraint_var_ids_[ci];
-      Value vals[32];
-      for (size_t i = 0; i < ids.size(); ++i) vals[i] = bindings_[ids[i]];
-      constraint_eval_->ChargeFiring(c.function, vals,
-                                     static_cast<int>(ids.size()));
-    }
     int n = static_cast<int>(recipe.size());
     if constexpr (std::is_invocable_v<Sink&, const Value*, int>) {
       sink_(static_cast<const Value*>(buf), n);

@@ -59,9 +59,6 @@ class SemiNaiveRound {
   // firings into the heads, then advances the watermarks.
   void RunRound(EvalStats* stats);
 
-  void set_constraint_eval(const ConstraintEvaluator* constraint_eval) {
-    constraint_eval_ = constraint_eval;
-  }
   // Optional: surviving keys per batch-kernel probe batch.
   void set_probe_batch(Histogram* histogram) {
     scratch_.probe_batch = histogram;

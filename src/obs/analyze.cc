@@ -366,7 +366,6 @@ ProfileReport AnalyzeRun(const Tracer& tracer,
 
   report.tuples_matrix = context.tuples_matrix;
   report.frames_matrix = context.frames_matrix;
-  report.rebalance_log = context.rebalance_log;
   if (context.metrics != nullptr) {
     for (const auto& [name, h] : context.metrics->histograms()) {
       report.histograms.emplace_back(name, h);
@@ -509,21 +508,6 @@ std::string ProfileReport::ToText() const {
     }
   }
 
-  if (!rebalance_log.empty()) {
-    out += "\nrebalance decisions (bucket moves by the skew rebalancer):\n";
-    TextTable t({"window", "function", "bucket", "from", "to", "tuples",
-                 "skew"});
-    for (const RebalanceLogEntry& e : rebalance_log) {
-      t.AddRow({TextTable::Cell(e.window), TextTable::Cell(e.function),
-                TextTable::Cell(static_cast<uint64_t>(e.bucket)),
-                TextTable::Cell(e.from),
-                e.to < 0 ? std::string("replicate")
-                         : std::to_string(e.to),
-                TextTable::Cell(e.tuples), TextTable::Cell(e.skew, 2)});
-    }
-    out += t.ToString();
-  }
-
   if (!histograms.empty()) {
     out += "\nlatency/size percentiles (ns for *_ns, units otherwise):\n";
     TextTable t({"metric", "count", "p50", "p95", "p99", "max"});
@@ -601,20 +585,6 @@ std::string ProfileReport::ToJson() const {
   out += ",\n";
   AppendMatrixJson(&out, "frames_matrix", frames_matrix);
   out += ",\n";
-
-  out += "  \"rebalance\": [";
-  for (size_t i = 0; i < rebalance_log.size(); ++i) {
-    const RebalanceLogEntry& e = rebalance_log[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"window\": " + std::to_string(e.window) +
-           ", \"function\": " + std::to_string(e.function) +
-           ", \"bucket\": " + std::to_string(e.bucket) +
-           ", \"from\": " + std::to_string(e.from) +
-           ", \"to\": " + std::to_string(e.to) +
-           ", \"tuples\": " + std::to_string(e.tuples) +
-           ", \"skew\": " + JsonNum(e.skew) + "}";
-  }
-  out += rebalance_log.empty() ? "],\n" : "\n  ],\n";
 
   out += "  \"histograms\": {";
   for (size_t i = 0; i < histograms.size(); ++i) {

@@ -26,23 +26,6 @@
 
 namespace pdatalog {
 
-// One decision of the skew rebalancer (core/rebalance.h): in report
-// window `window`, bucket `bucket` of discriminating function `function`
-// was taken from straggler `from` and either forwarded to worker `to` or
-// replicated (`to` == -1, every sender keeps its share local). `skew`
-// is the busy-time max/mean ratio that triggered the decision. Defined
-// here, not in core, so the profile report can render the decision log
-// without src/obs/ growing a core dependency.
-struct RebalanceLogEntry {
-  uint64_t window = 0;
-  int function = -1;
-  uint32_t bucket = 0;
-  int from = -1;
-  int to = -1;  // -1 = replicated (keep-local)
-  uint64_t tuples = 0;
-  double skew = 0.0;
-};
-
 // Optional run-level context for AnalyzeRun. Everything is borrowed or
 // copied from a finished run; `metrics` (may be null) must outlive the
 // call.
@@ -52,7 +35,6 @@ struct ProfileContext {
   // sent_by_round[i][r][j]: tuples worker i sent to j in round r
   // (r == 0 is the initialization round).
   std::vector<std::vector<std::vector<uint64_t>>> sent_by_round;
-  std::vector<RebalanceLogEntry> rebalance_log;
   const MetricsRegistry* metrics = nullptr;
 };
 
@@ -107,8 +89,6 @@ struct ProfileReport {
   // Distribution snapshot (hist.* entries), copied from the context's
   // registry so the report is self-contained.
   std::vector<std::pair<std::string, Histogram>> histograms;
-  // Skew-rebalancer decisions, in publish order (empty when off).
-  std::vector<RebalanceLogEntry> rebalance_log;
 
   // Human-readable analysis section (appended after the text report by
   // --profile) and a JSON rendering (written by --profile=FILE).

@@ -43,8 +43,9 @@ size_t GenGrid(SymbolTable* symbols, Database* db,
 // uniform over the `num_nodes` vertices but whose targets follow a
 // Zipf(exponent) rank distribution — node n0 is the hottest, n1 next,
 // and so on. High in-degree concentrates recursive join work on the
-// hash bucket of the hot join keys, making this the canonical skewed
-// input for the rebalancer (larger exponent = sharper skew; ~1.0 is
+// workers that own the hot join keys; this is the serving benchmarks'
+// graph (perfbench's serve_mix, bench_serve) and the skewed input of the
+// engine differential tests (larger exponent = sharper skew; ~1.0 is
 // classic Zipf). Deterministic in `seed`.
 size_t GenZipfGraph(SymbolTable* symbols, Database* db,
                     const std::string& predicate, int num_nodes,

@@ -45,6 +45,9 @@ TEST(CliParseTest, Rejections) {
   EXPECT_FALSE(ParseCliArgs({"--rho=1.5", "p.dl"}).ok());
   EXPECT_FALSE(ParseCliArgs({"--nonsense", "p.dl"}).ok());
   EXPECT_FALSE(ParseCliArgs({"a.dl", "b.dl"}).ok());  // two files
+  // Partitioning is fixed per run: no run-time skew flags.
+  EXPECT_FALSE(ParseCliArgs({"--rebalance-skew=1.3", "p.dl"}).ok());
+  EXPECT_FALSE(ParseCliArgs({"--rebalance-buckets=8", "p.dl"}).ok());
 }
 
 TEST(CliParseTest, FaultsFlag) {

@@ -164,5 +164,25 @@ TEST(DiscriminatingTest, SeedChangesUniformHash) {
   EXPECT_GT(diffs, 50);
 }
 
+TEST(SatelliteRegressionTest, LinearRemapMissReturnsZeroNotUb) {
+  DiscriminatingFunction fn = DiscriminatingFunction::Linear({1, 1});
+  // A remap that does not cover every achievable raw value: values that
+  // miss must map to processor 0 instead of dereferencing remap.end().
+  fn.remap = {{0, 0}};
+  Value vals[2] = {1, 2};
+  int result = fn.Evaluate(vals, 2);
+  EXPECT_GE(result, 0);
+  EXPECT_LE(result, 0);
+}
+
+TEST(SatelliteRegressionTest, ZeroProcessorHashKindsReturnZero) {
+  DiscriminatingFunction uniform = DiscriminatingFunction::UniformHash(0);
+  DiscriminatingFunction symmetric =
+      DiscriminatingFunction::SymmetricHash(0);
+  Value v = 99;
+  EXPECT_EQ(uniform.Evaluate(&v, 1), 0);
+  EXPECT_EQ(symmetric.Evaluate(&v, 1), 0);
+}
+
 }  // namespace
 }  // namespace pdatalog

@@ -71,18 +71,27 @@ TEST_P(EngineModeTest, SingleProcessorDegeneratesToSequential) {
 }
 
 TEST_P(EngineModeTest, AllSchemesProduceTheSameAnswer) {
-  for (AncestorScheme scheme :
-       {AncestorScheme::kExample1, AncestorScheme::kExample2,
-        AncestorScheme::kExample3}) {
-    auto setup = MakeAncestorSetup();
-    GenRandomGraph(&setup->symbols, &setup->edb, "par", 30, 55, 17);
-    std::string expected = SequentialAncestor(setup.get(), nullptr);
-    RewriteBundle bundle = MakeAncestorBundle(setup.get(), scheme, 4);
-    StatusOr<ParallelResult> result =
-        RunParallel(bundle, &setup->edb, Options());
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected)
-        << "scheme " << static_cast<int>(scheme);
+  // A uniform random graph, and a Zipf-skewed one whose hot targets pile
+  // the recursive join work onto a few hash owners.
+  for (bool zipf : {false, true}) {
+    for (AncestorScheme scheme :
+         {AncestorScheme::kExample1, AncestorScheme::kExample2,
+          AncestorScheme::kExample3}) {
+      auto setup = MakeAncestorSetup();
+      if (zipf) {
+        GenZipfGraph(&setup->symbols, &setup->edb, "par", 120, 360, 1.4, 7);
+      } else {
+        GenRandomGraph(&setup->symbols, &setup->edb, "par", 30, 55, 17);
+      }
+      std::string expected = SequentialAncestor(setup.get(), nullptr);
+      RewriteBundle bundle = MakeAncestorBundle(setup.get(), scheme, 4);
+      StatusOr<ParallelResult> result =
+          RunParallel(bundle, &setup->edb, Options());
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected)
+          << "scheme " << static_cast<int>(scheme)
+          << (zipf ? ", zipf graph" : ", random graph");
+    }
   }
 }
 

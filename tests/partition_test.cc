@@ -129,5 +129,36 @@ TEST(PartitionTest, MissingBaseRelationYieldsEmptyFragments) {
   }
 }
 
+TEST(SatelliteRegressionTest, PartitionBasesRejectsOversizedSequence) {
+  SymbolTable symbols;
+  Program program = ParseOrDie(testing_util::kAncestorProgram, &symbols);
+  ProgramInfo info = ValidateOrDie(program);
+  StatusOr<LinearSirup> sirup = ExtractLinearSirup(program, info);
+  ASSERT_TRUE(sirup.ok());
+  LinearSchemeOptions options;
+  options.v_r = {symbols.Intern("Z")};
+  options.v_e = {symbols.Intern("X")};
+  options.h = DiscriminatingFunction::UniformHash(2);
+  StatusOr<RewriteBundle> bundle =
+      RewriteLinearSirup(program, info, *sirup, 2, options);
+  ASSERT_TRUE(bundle.ok());
+
+  Database edb;
+  GenChain(&symbols, &edb, "par", 5);
+  // Grow the fragmented occurrences' discriminating sequences past the
+  // 32-value gather buffer; PartitionBases must refuse, not overflow.
+  int fragmented = 0;
+  for (BaseOccurrence& occ : bundle->base_occurrences) {
+    if (occ.access != BaseOccurrence::Access::kFragment) continue;
+    occ.positions.assign(33, 0);
+    ++fragmented;
+  }
+  ASSERT_GT(fragmented, 0);
+  StatusOr<PartitionResult> result = PartitionBases(*bundle, edb);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("at most"), std::string::npos)
+      << result.status().ToString();
+}
+
 }  // namespace
 }  // namespace pdatalog
