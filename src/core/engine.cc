@@ -161,19 +161,32 @@ void ProjectScalarsFromMetrics(ParallelResult* result) {
 void PoolOutputs(const RewriteBundle& bundle,
                  std::vector<std::unique_ptr<Worker>>* workers,
                  Database* output, MetricsRegistry* metrics) {
-  // Collector is processor 0: every other processor ships its t_out
-  // across the network.
+  // Collector is processor 0: every other processor ships its share
+  // across the network — its t_in when `p` has a single owner (the
+  // receive sets are then disjoint and cover the fixpoint), else its
+  // t_out, deduplicated on arrival.
   for (Symbol p : bundle.derived) {
     const int arity = bundle.arity.at(p);
-    Relation& pooled = output->Adopt(p, (*workers)[0]->TakeOutput(p));
-    metrics->AddCounter("run.out_tuples_total", pooled.size());
+    for (const auto& worker : *workers) {
+      metrics->AddCounter("run.out_tuples_total",
+                          worker->OutputRelation(p).size());
+    }
+    const bool single_owner = HasSingleOwner(bundle, p);
+    Relation& pooled = output->Adopt(
+        p, single_owner ? (*workers)[0]->TakeInput(p)
+                        : (*workers)[0]->TakeOutput(p));
     for (size_t w = 1; w < workers->size(); ++w) {
-      const Relation& out = (*workers)[w]->OutputRelation(p);
-      metrics->AddCounter("run.out_tuples_total", out.size());
-      metrics->AddCounter("run.pooling_messages", out.size());
+      const Relation& share = single_owner
+                                  ? (*workers)[w]->InputRelation(p)
+                                  : (*workers)[w]->OutputRelation(p);
+      metrics->AddCounter("run.pooling_messages", share.size());
       metrics->AddCounter("run.pooling_bytes",
-                          out.size() * TupleWireBytes(arity));
-      pooled.InsertAll(out);
+                          share.size() * TupleWireBytes(arity));
+      if (single_owner) {
+        pooled.AppendDisjoint(share);
+      } else {
+        pooled.InsertAll(share);
+      }
     }
     metrics->AddCounter("run.pooled_tuples", pooled.size());
   }

@@ -82,7 +82,8 @@ struct ParallelResult {
   uint64_t pooled_tuples = 0;
   // Final pooling (Section 3, step 5) "might require communication from
   // all processors to a single processor": messages/bytes to ship every
-  // processor's t_out to collector 0 (its own tuples stay local).
+  // processor's share to collector 0 (its own tuples stay local) — its
+  // t_in for single-owner predicates, else its t_out (see PoolOutputs).
   uint64_t pooling_messages = 0;
   uint64_t pooling_bytes = 0;
   // Injected-fault totals summed over all channels (zero when fault
@@ -110,13 +111,17 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
                                      const ParallelOptions& options = {});
 
 // Final pooling (Section 3, step 5) over workers that have stopped
-// running. For each derived predicate, worker 0's t_out relation moves
-// into `output` under the original name and workers 1..P-1 are merged
-// into it in order (Relation::InsertAll): worker 0's rows first, then
-// each later worker's new rows in its own order. Adds the
-// run.out_tuples_total, run.pooling_messages, run.pooling_bytes and
-// run.pooled_tuples counters to `metrics`. The workers are left without
-// their t_out relations.
+// running. For a derived predicate with a single owner per tuple
+// (HasSingleOwner: Examples 1 and 3), the owners' t_in relations are
+// already a disjoint cover of the fixpoint: worker 0's t_in moves into
+// `output` under the original name and workers 1..P-1's t_in are
+// appended in order (Relation::AppendDisjoint), with no dedup probe.
+// Every other predicate adopts worker 0's t_out and merges workers
+// 1..P-1's t_out into it in order (Relation::InsertAll): worker 0's
+// rows first, then each later worker's new rows in its own order. Adds
+// the run.out_tuples_total, run.pooling_messages (the shipped shares'
+// sizes), run.pooling_bytes and run.pooled_tuples counters to
+// `metrics`. Worker 0 is left without the relation it gave up.
 void PoolOutputs(const RewriteBundle& bundle,
                  std::vector<std::unique_ptr<Worker>>* workers,
                  Database* output, MetricsRegistry* metrics);

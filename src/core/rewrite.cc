@@ -192,6 +192,31 @@ StatusOr<RewriteBundle> BuildBundle(
 
 }  // namespace
 
+bool HasSingleOwner(const RewriteBundle& bundle, Symbol p) {
+  const SendSpec* first = nullptr;
+  for (const std::vector<SendSpec>& specs : bundle.sends) {
+    const SendSpec* only = nullptr;
+    for (const SendSpec& spec : specs) {
+      if (spec.predicate != p) continue;
+      if (only != nullptr) return false;  // several sending rules
+      only = &spec;
+    }
+    if (only == nullptr || !only->determined) return false;
+    std::vector<Symbol> seen;
+    for (const Term& arg : only->pattern.args) {
+      if (!arg.is_var() || Occurs(seen, arg.sym)) return false;
+      seen.push_back(arg.sym);
+    }
+    if (first == nullptr) {
+      first = only;
+    } else if (only->function != first->function ||
+               only->var_positions != first->var_positions) {
+      return false;
+    }
+  }
+  return first != nullptr;
+}
+
 StatusOr<RewriteBundle> RewriteLinearSirup(
     const Program& program, const ProgramInfo& info, const LinearSirup& sirup,
     int num_processors, const LinearSchemeOptions& options) {

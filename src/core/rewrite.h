@@ -98,6 +98,17 @@ struct RewriteBundle {
   bool non_redundant = false;
 };
 
+// True when the sending rules give every tuple of derived predicate `p`
+// exactly one owner processor: on every processor `p` has exactly one
+// SendSpec, it is determined, its pattern is all distinct variables (so
+// every tuple matches it), and all processors use the same function on
+// the same columns. The receive sets t_in^i of `p` are then a disjoint
+// cover of its fixpoint, which final pooling concatenates instead of
+// deduplicating (core/engine.h). Holds for Examples 1 and 3; fails for
+// Example 2's broadcast, for the tradeoff scheme's per-processor h_i,
+// and for a predicate with several sending rules.
+bool HasSingleOwner(const RewriteBundle& bundle, Symbol p);
+
 // --- Scheme constructors ---------------------------------------------
 
 // Section 3. `v_r` / `v_e` are the discriminating sequences for the

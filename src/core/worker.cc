@@ -157,6 +157,21 @@ std::unique_ptr<Relation> Worker::TakeOutput(Symbol p) {
   return rel;
 }
 
+const Relation& Worker::InputRelation(Symbol p) const {
+  const Relation* rel = local_db_.Find(bundle_->in_name.at(p));
+  assert(rel != nullptr);
+  return *rel;
+}
+
+std::unique_ptr<Relation> Worker::TakeInput(Symbol p) {
+  std::unique_ptr<Relation> rel = local_db_.Release(bundle_->in_name.at(p));
+  assert(rel != nullptr);
+  rel->set_trace(nullptr);
+  rel->set_insert_profile(nullptr);
+  rel->set_insert_tuples(nullptr);
+  return rel;
+}
+
 void Worker::AddEvalStats(const EvalStats& es) {
   stats_.firings += es.firings;
   stats_.out_inserted += es.tuples_inserted;

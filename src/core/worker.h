@@ -135,6 +135,16 @@ class Worker {
   // OutputRelation(p) is no longer valid.
   std::unique_ptr<Relation> TakeOutput(Symbol p);
 
+  // The worker's t_in relation for `p`: every tuple of `p` routed to
+  // this processor, deduplicated on ingest.
+  const Relation& InputRelation(Symbol p) const;
+
+  // Moves the t_in relation for `p` out of the worker, with its trace
+  // and histogram hooks cleared (they point into this worker and its
+  // tracer, which may be destroyed before the relation). Same contract
+  // as TakeOutput.
+  std::unique_ptr<Relation> TakeInput(Symbol p);
+
  private:
   Worker(const RewriteBundle* bundle, int id,
          std::unordered_map<int, std::unique_ptr<Relation>> fragments,

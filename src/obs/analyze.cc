@@ -325,6 +325,11 @@ ProfileReport AnalyzeRun(const Tracer& tracer,
     }
   }
   report.span_ns = last_ts - tracer.epoch_ticks();
+  for (const Span& s :
+       ParseRing(tracer.ring(tracer.num_workers()), tracer.epoch_ticks())
+           .spans) {
+    if (s.phase == TracePhase::kPool) report.pool_ns += s.end - s.begin;
+  }
 
   size_t num_workers = static_cast<size_t>(tracer.num_workers());
   report.rounds.resize(static_cast<size_t>(max_round) + 1);
@@ -394,6 +399,11 @@ std::string ProfileReport::ToText() const {
                 "  overall skew %.2f (straggler: worker %d)\n", skew_ratio,
                 straggler);
   out += line;
+  if (pool_ns > 0) {
+    std::snprintf(line, sizeof(line),
+                  "  final pooling %.3f ms (after the span)\n", Ms(pool_ns));
+    out += line;
+  }
   if (dropped > 0) {
     std::snprintf(line, sizeof(line),
                   "  warning: %llu trace events dropped; analysis is "
@@ -532,6 +542,7 @@ std::string ProfileReport::ToJson() const {
   out += "  \"straggler\": " + std::to_string(straggler) + ",\n";
   out += "  \"critical_path_ns\": " + std::to_string(critical_path_ns) +
          ",\n";
+  out += "  \"pool_ns\": " + std::to_string(pool_ns) + ",\n";
 
   out += "  \"totals\": [";
   for (size_t i = 0; i < totals.size(); ++i) {

@@ -84,6 +84,10 @@ struct ProfileReport {
   int straggler = -1;
   std::vector<CriticalPathSegment> critical_path;
   uint64_t critical_path_ns = 0;  // sum of segment lengths
+  // Final pooling: the kPool spans on the engine ring, summed (one per
+  // stratum in stratified runs). Pooling runs after the workers join,
+  // so it is outside span_ns and the per-worker tables.
+  uint64_t pool_ns = 0;
   std::vector<std::vector<uint64_t>> tuples_matrix;  // from context
   std::vector<std::vector<uint64_t>> frames_matrix;
   // Distribution snapshot (hist.* entries), copied from the context's

@@ -113,26 +113,21 @@ void ColumnIndex::Add(uint32_t row_id) {
 
 bool Relation::InsertView(const Value* values, int n) {
   assert(n == arity_);
-  uint64_t hash = HashProjection(values, n);
-  if (!dedup_.empty()) {
-    uint64_t i = hash & dedup_mask_;
-    while (true) {
-      const DedupSlot& slot = dedup_[i];
-      if (slot.row == kEmptySlot) break;
-      if (slot.hash == hash && store_.RowEquals(slot.row, values)) {
-        return false;
-      }
-      i = (i + 1) & dedup_mask_;
-    }
-  }
+  // Grow before probing: this also rebuilds a table AppendDisjoint
+  // dropped, so the probe sees every row.
   if ((store_.size() + 1) * 4 > dedup_.size() * 3) {
     GrowDedup(store_.size() + 1);
   }
-  uint32_t id = static_cast<uint32_t>(store_.size());
-  store_.AppendRow(values);
+  uint64_t hash = HashProjection(values, n);
   uint64_t i = hash & dedup_mask_;
-  while (dedup_[i].row != kEmptySlot) i = (i + 1) & dedup_mask_;
-  dedup_[i] = DedupSlot{hash, id};
+  while (dedup_[i].row != kEmptySlot) {
+    if (dedup_[i].hash == hash && store_.RowEquals(dedup_[i].row, values)) {
+      return false;
+    }
+    i = (i + 1) & dedup_mask_;
+  }
+  dedup_[i] = DedupSlot{hash, static_cast<uint32_t>(store_.size())};
+  store_.AppendRow(values);
   return true;
 }
 
@@ -165,7 +160,8 @@ size_t Relation::InsertBlock(const Value* values, int arity, uint32_t count,
   }
 
   // Reserve dedup capacity for the worst case (every row new) so the
-  // probe loop below never rehashes mid-block.
+  // probe loop below never rehashes mid-block. Also rebuilds a table
+  // AppendDisjoint dropped before the first probe.
   if ((store_.size() + count) * 4 > dedup_.size() * 3) {
     GrowDedup(store_.size() + count);
   }
@@ -272,6 +268,29 @@ size_t Relation::InsertAll(const Relation& other) {
   return added;
 }
 
+void Relation::AppendDisjoint(const Relation& other) {
+  assert(other.arity_ == arity_);
+  const size_t base = store_.size();
+  const size_t n = other.size();
+  if (n == 0) return;
+  store_.EnsureCapacity(base + n);
+  for (int c = 0; c < arity_; ++c) {
+    size_t from = 0;
+    while (from < n) {
+      size_t src_run;
+      size_t dst_run;
+      const Value* src = other.store_.ColumnSpan(c, from, &src_run);
+      Value* dst = store_.MutableSpan(c, base + from, base + n, &dst_run);
+      const size_t run = std::min(src_run, dst_run);
+      std::copy_n(src, run, dst);
+      from += run;
+    }
+  }
+  store_.CommitRows(base + n);
+  std::vector<DedupSlot>().swap(dedup_);
+  dedup_mask_ = 0;
+}
+
 void Relation::GrowDedup(size_t min_rows) {
   size_t cap = dedup_.empty() ? 16 : dedup_.size();
   while (cap * 3 < min_rows * 4) cap *= 2;
@@ -286,7 +305,13 @@ void Relation::GrowDedup(size_t min_rows) {
 }
 
 bool Relation::Contains(const Tuple& tuple) const {
-  if (dedup_.empty() || tuple.arity() != arity_) return false;
+  if (tuple.arity() != arity_) return false;
+  if (dedup_.empty()) {
+    for (size_t r = 0; r < store_.size(); ++r) {
+      if (store_.RowEquals(r, tuple.data())) return true;
+    }
+    return false;
+  }
   uint64_t hash = HashProjection(tuple.data(), tuple.arity());
   uint64_t i = hash & dedup_mask_;
   while (true) {

@@ -18,6 +18,12 @@
 // nor probes ever materialize a key `Tuple`; equality checks read back
 // through the relation's own column chunks.
 //
+// The dedup table is either empty or covers every row. AppendDisjoint
+// appends rows known to be new without hashing them and leaves the
+// table empty; the next insert that needs it (InsertView, InsertBlock,
+// InsertAll) rebuilds it over all rows before its first probe, and
+// Contains falls back to a scan until then.
+//
 // Thread-safety: a Relation is either worker-local (mutable, no locking
 // needed) or shared read-only across workers (base relations). For the
 // shared case, all needed indexes must be built before the parallel run
@@ -301,6 +307,16 @@ class Relation {
   // of rows that were new.
   size_t InsertAll(const Relation& other);
 
+  // Appends every row of `other` (same arity), which the caller
+  // guarantees is a set disjoint from this relation: final pooling of
+  // owner partitions, whose rows no other partition holds. Copies the
+  // column spans chunk by chunk with no hashing or probing and drops
+  // the dedup table (see the invariant in the file comment); indexes
+  // keep their coverage and extend on the next EnsureIndex.
+  void AppendDisjoint(const Relation& other);
+
+  // True iff `tuple` is a row. A scan when the dedup table has been
+  // dropped by AppendDisjoint and not yet rebuilt.
   bool Contains(const Tuple& tuple) const;
 
   // Materializes row `i` (returned by value; the storage is columnar).
@@ -357,7 +373,7 @@ class Relation {
   int arity_;
   ColumnStore store_;
   // Open-addressing dedup set over row ids (hash + id per slot; equality
-  // reads back through the column store).
+  // reads back through the column store). Empty or covering every row.
   struct DedupSlot {
     uint64_t hash;
     uint32_t row;

@@ -21,7 +21,10 @@ using Value = Symbol;  // interned constant id
 
 class Tuple {
  public:
-  Tuple() : size_(0) {}
+  // The inline storage is value-initialized even though a zero-arity
+  // tuple never reads it: inlined callers that take data() (e.g.
+  // Relation::Insert) would otherwise trip -Wmaybe-uninitialized.
+  Tuple() : size_(0), inline_{} {}
 
   Tuple(std::initializer_list<Value> values)
       : Tuple(values.begin(), static_cast<int>(values.size())) {}

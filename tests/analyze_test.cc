@@ -139,6 +139,52 @@ TEST(AnalyzeTest, EmptyTracerYieldsNeutralReport) {
   EXPECT_NE(report.ToText().find("profile:"), std::string::npos);
 }
 
+TEST(AnalyzeTest, HandBuiltPoolSumsEngineRingPoolSpans) {
+  // Two strata pool twice; a query span on the same ring is not pooling.
+  Tracer tracer(1, 64);
+  const uint64_t e = tracer.epoch_ticks();
+  TraceRing* engine = tracer.engine_ring();
+  Append(engine, e + 100, TracePhase::kPool, TraceEventKind::kBegin);
+  Append(engine, e + 130, TracePhase::kPool, TraceEventKind::kEnd);
+  Append(engine, e + 140, TracePhase::kQuery, TraceEventKind::kBegin);
+  Append(engine, e + 190, TracePhase::kQuery, TraceEventKind::kEnd);
+  Append(engine, e + 200, TracePhase::kPool, TraceEventKind::kBegin);
+  Append(engine, e + 212, TracePhase::kPool, TraceEventKind::kEnd);
+  ProfileReport report = AnalyzeTrace(tracer);
+  EXPECT_EQ(report.pool_ns, 42u);
+  EXPECT_EQ(report.span_ns, 0u);  // the worker ring is empty
+  EXPECT_NE(report.ToJson().find("\"pool_ns\": 42,"), std::string::npos);
+  EXPECT_NE(report.ToText().find("final pooling 0.000 ms"),
+            std::string::npos);
+}
+
+// The profile's pooling time is the engine ring's kPool span, which
+// brackets the stopwatch behind the run.pool_seconds gauge.
+TEST(AnalyzeTest, PoolTimeAgreesWithPoolSecondsGauge) {
+  auto setup = MakeAncestorSetup();
+  GenRandomGraph(&setup->symbols, &setup->edb, "par", 40, 120, 9);
+  const int P = 3;
+  for (AncestorScheme scheme :
+       {AncestorScheme::kExample2, AncestorScheme::kExample3}) {
+    RewriteBundle bundle = MakeAncestorBundle(setup.get(), scheme, P);
+    Tracer tracer(P);
+    ParallelOptions options;
+    options.tracer = &tracer;
+    StatusOr<ParallelResult> result =
+        RunParallel(bundle, &setup->edb, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    ProfileReport report = AnalyzeRun(tracer, MakeProfileContext(*result));
+    const double gauge_ns = result->metrics.gauge("run.pool_seconds") * 1e9;
+    EXPECT_GT(report.pool_ns, 0u);
+    EXPECT_GE(static_cast<double>(report.pool_ns) + 1.0, gauge_ns);
+    EXPECT_LE(static_cast<double>(report.pool_ns), gauge_ns + 20e6);
+    EXPECT_NE(report.ToJson().find("\"pool_ns\": " +
+                                   std::to_string(report.pool_ns)),
+              std::string::npos);
+  }
+}
+
 // Example 2 fragments par arbitrarily and broadcasts every derived
 // tuple: the empirical communication matrix must be all-to-all (every
 // off-diagonal entry positive), matching the Section 5 network graph.

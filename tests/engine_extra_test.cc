@@ -174,17 +174,38 @@ TEST(EngineExtraTest, MaximallySkewedFunctionStillCorrect) {
 }
 
 TEST(EngineExtraTest, PoolingCostAccounted) {
+  // Example 3 gives every anc tuple one owner: the collector receives
+  // the remote owners' t_in relations.
   auto setup = MakeAncestorSetup();
   GenChain(&setup->symbols, &setup->edb, "par", 10);
   RewriteBundle bundle =
       MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 3);
   StatusOr<ParallelResult> result = RunParallel(bundle, &setup->edb);
   ASSERT_TRUE(result.ok());
+  uint64_t remote_in = 0;
+  for (size_t w = 1; w < result->workers.size(); ++w) {
+    remote_in += result->workers[w].in_inserted;
+  }
+  EXPECT_GT(remote_in, 0u);
+  EXPECT_EQ(result->pooling_messages, remote_in);
+  EXPECT_EQ(result->pooling_bytes,
+            remote_in * TupleWireBytes(2));  // arity-2 tuples
+}
+
+TEST(EngineExtraTest, BroadcastPoolingShipsRemoteOutputs) {
+  // Example 2 broadcasts, so anc has no single owner: the collector
+  // receives the remote workers' t_out relations.
+  auto setup = MakeAncestorSetup();
+  GenChain(&setup->symbols, &setup->edb, "par", 10);
+  RewriteBundle bundle =
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample2, 3);
+  StatusOr<ParallelResult> result = RunParallel(bundle, &setup->edb);
+  ASSERT_TRUE(result.ok());
   uint64_t remote_out =
       result->out_tuples_total - result->workers[0].out_inserted;
+  EXPECT_GT(remote_out, 0u);
   EXPECT_EQ(result->pooling_messages, remote_out);
-  EXPECT_EQ(result->pooling_bytes,
-            remote_out * TupleWireBytes(2));  // arity-2 tuples
+  EXPECT_EQ(result->pooling_bytes, remote_out * TupleWireBytes(2));
 }
 
 TEST(EngineExtraTest, SingleProcessorPoolingIsFree) {

@@ -5,8 +5,10 @@
 
 #include "core/partition.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "parallel_test_util.h"
 #include "workload/generators.h"
+#include "workload/programs.h"
 
 namespace pdatalog {
 namespace {
@@ -214,7 +216,8 @@ TEST_P(EngineModeTest, GeneralSchemeNonLinearAncestor) {
 // Runs the workers of `bundle` on their own network the way
 // RunParallel does — one thread each, or its deterministic round-robin
 // schedule (retransmitting when quiescent) — and returns them stopped,
-// with every t_out still in place for the test to read before pooling.
+// with every t_out and t_in still in place for the test to read before
+// pooling.
 struct WorkerRun {
   std::unique_ptr<CommNetwork> network;
   std::unique_ptr<TerminationDetector> detector;
@@ -276,9 +279,22 @@ void ExpectSameRows(const Relation& got, const Relation& want) {
   }
 }
 
+ParallelOptions PoolingOptions(bool threads, bool faults) {
+  ParallelOptions options;
+  options.use_threads = threads;
+  if (faults) {
+    options.faults.drop = 0.2;
+    options.faults.duplicate = 0.1;
+    options.faults.reorder = 0.1;
+    options.retransmit = true;
+  }
+  return options;
+}
+
 TEST(EnginePoolingTest, PooledRelationIsTheOrderedUnionOfWorkerOutputs) {
-  // Example 3 on a random digraph: the same anc tuple is derived on
-  // several processors, so pooling must drop the overlap while keeping
+  // Example 2 on a random digraph: the same anc tuple is derived on
+  // several processors and broadcast, so anc has no single owner and
+  // pooling must drop the overlap of the t_out relations while keeping
   // worker 0's rows first, then each later worker's new rows in order.
   auto setup = MakeAncestorSetup();
   GenRandomGraph(&setup->symbols, &setup->edb, "par", 30, 90, 5);
@@ -291,15 +307,9 @@ TEST(EnginePoolingTest, PooledRelationIsTheOrderedUnionOfWorkerOutputs) {
                      (threads ? " threads" : " round-robin") +
                      (faults ? " faults+retransmit" : ""));
         RewriteBundle bundle =
-            MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, P);
-        ParallelOptions options;
-        options.use_threads = threads;
-        if (faults) {
-          options.faults.drop = 0.2;
-          options.faults.duplicate = 0.1;
-          options.faults.reorder = 0.1;
-          options.retransmit = true;
-        }
+            MakeAncestorBundle(setup.get(), AncestorScheme::kExample2, P);
+        ASSERT_FALSE(HasSingleOwner(bundle, anc));
+        ParallelOptions options = PoolingOptions(threads, faults);
 
         WorkerRun run;
         RunWorkers(bundle, &setup->edb, options, &run);
@@ -342,6 +352,150 @@ TEST(EnginePoolingTest, PooledRelationIsTheOrderedUnionOfWorkerOutputs) {
       }
     }
   }
+}
+
+TEST(EnginePoolingTest, OwnerPartitionsPoolByConcatenation) {
+  // Examples 1 and 3 route every anc tuple to exactly one owner, so the
+  // owners' t_in relations are a disjoint cover of the fixpoint:
+  // pooling concatenates them owner-major (t_in^0, then t_in^1, ...)
+  // and their sizes sum to the pooled size. Duplicated frames under
+  // faults are dropped on ingest, so this holds for t_in, not frames.
+  auto setup = MakeAncestorSetup();
+  GenRandomGraph(&setup->symbols, &setup->edb, "par", 30, 90, 5);
+  const std::string expected = SequentialAncestor(setup.get(), nullptr);
+  const Symbol anc = setup->anc();
+  for (AncestorScheme scheme :
+       {AncestorScheme::kExample1, AncestorScheme::kExample3}) {
+    for (int P : {1, 2, 4}) {
+      for (bool threads : {false, true}) {
+        for (bool faults : {false, true}) {
+          SCOPED_TRACE(std::string(scheme == AncestorScheme::kExample1
+                                       ? "example1"
+                                       : "example3") +
+                       " P=" + std::to_string(P) +
+                       (threads ? " threads" : " round-robin") +
+                       (faults ? " faults+retransmit" : ""));
+          RewriteBundle bundle = MakeAncestorBundle(setup.get(), scheme, P);
+          ASSERT_TRUE(HasSingleOwner(bundle, anc));
+          ParallelOptions options = PoolingOptions(threads, faults);
+
+          WorkerRun run;
+          RunWorkers(bundle, &setup->edb, options, &run);
+          if (HasFatalFailure()) return;
+          Relation reference(2);
+          uint64_t out_total = 0;
+          uint64_t remote_in = 0;
+          for (size_t w = 0; w < run.workers.size(); ++w) {
+            out_total += run.workers[w]->OutputRelation(anc).size();
+            const Relation& in = run.workers[w]->InputRelation(anc);
+            if (w > 0) remote_in += in.size();
+            for (size_t i = 0; i < in.size(); ++i) {
+              ASSERT_TRUE(reference.Insert(in.row(i)))
+                  << "owners overlap at worker " << w << " row " << i;
+            }
+          }
+          Database pooled;
+          MetricsRegistry metrics;
+          PoolOutputs(bundle, &run.workers, &pooled, &metrics);
+          ExpectSameRows(*pooled.Find(anc), reference);
+          EXPECT_EQ(pooled.Find(anc)->ToSortedString(setup->symbols),
+                    expected);
+          EXPECT_EQ(metrics.counter("run.pooled_tuples"), reference.size());
+          EXPECT_EQ(metrics.counter("run.pooling_messages"), remote_in);
+          EXPECT_EQ(metrics.counter("run.out_tuples_total"), out_total);
+
+          StatusOr<ParallelResult> result =
+              RunParallel(bundle, &setup->edb, options);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_EQ(DumpOutput(*result, setup->symbols, anc), expected);
+          uint64_t in_total = 0;
+          for (const WorkerStats& w : result->workers) {
+            in_total += w.in_inserted;
+          }
+          EXPECT_EQ(in_total, result->pooled_tuples);
+          EXPECT_EQ(result->pooling_messages,
+                    in_total - result->workers[0].in_inserted);
+          if (faults && P > 1 && scheme == AncestorScheme::kExample3) {
+            EXPECT_TRUE(result->faults.any());
+          }
+          if (!threads) ExpectSameRows(*result->output.Find(anc), reference);
+        }
+      }
+    }
+  }
+}
+
+TEST(EnginePoolingTest, SingleOwnerFollowsTheSendingRules) {
+  auto setup = MakeAncestorSetup();
+  GenRandomGraph(&setup->symbols, &setup->edb, "par", 12, 30, 7);
+  const Symbol anc = setup->anc();
+  EXPECT_TRUE(HasSingleOwner(
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample1, 4), anc));
+  EXPECT_TRUE(HasSingleOwner(
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 4), anc));
+  // Example 2 cannot evaluate h(X, Z) on anc(Z, Y): it broadcasts.
+  EXPECT_FALSE(HasSingleOwner(
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample2, 4), anc));
+
+  // Tradeoff with distinct h_i: each processor routes by its own
+  // function, so a tuple's destination depends on who derived it.
+  TradeoffOptions tradeoff;
+  tradeoff.v_r = {setup->symbols.Intern("Z")};
+  tradeoff.v_e = {setup->symbols.Intern("X")};
+  tradeoff.h_prime = DiscriminatingFunction::UniformHash(2);
+  tradeoff.h_i = {DiscriminatingFunction::Constant(0),
+                  DiscriminatingFunction::Constant(1)};
+  StatusOr<RewriteBundle> r = RewriteTradeoff(
+      setup->program, setup->info, setup->sirup, 2, tradeoff);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(HasSingleOwner(*r, anc));
+
+  // General scheme on points_to: pt feeds three body atoms (several
+  // sending rules), heap_pt feeds one determined atom.
+  SymbolTable symbols;
+  StatusOr<NamedProgram> named = FindProgram("points_to");
+  ASSERT_TRUE(named.ok());
+  Program program = testing_util::ParseOrDie(named->source, &symbols);
+  ProgramInfo info = testing_util::ValidateOrDie(program);
+  std::vector<GeneralRuleSpec> specs(program.rules.size());
+  const char* vars[] = {"O", "O", "A", "A"};
+  for (size_t k = 0; k < specs.size(); ++k) {
+    specs[k].vars = {symbols.Intern(vars[k])};
+    specs[k].h = DiscriminatingFunction::UniformHash(4);
+  }
+  StatusOr<RewriteBundle> general = RewriteGeneral(program, info, 4, specs);
+  ASSERT_TRUE(general.ok()) << general.status().ToString();
+  EXPECT_FALSE(HasSingleOwner(*general, symbols.Lookup("pt")));
+  EXPECT_TRUE(HasSingleOwner(*general, symbols.Lookup("heap_pt")));
+}
+
+TEST(EnginePoolingTest, PooledRelationOutlivesTheTracer) {
+  // The pooled relation is worker 0's t_in, whose ingest hooks pointed
+  // at the worker's histograms and the tracer's ring. Both are gone by
+  // the time the caller inserts; under ASan a stale hook would fault.
+  auto setup = MakeAncestorSetup();
+  GenRandomGraph(&setup->symbols, &setup->edb, "par", 30, 90, 5);
+  const int P = 4;
+  RewriteBundle bundle =
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, P);
+  auto tracer = std::make_unique<Tracer>(P);
+  ParallelOptions options;
+  options.tracer = tracer.get();
+  StatusOr<ParallelResult> result =
+      RunParallel(bundle, &setup->edb, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  tracer.reset();
+
+  Relation* pooled = result->output.Find(setup->anc());
+  ASSERT_NE(pooled, nullptr);
+  const size_t size = pooled->size();
+  ASSERT_GT(size, 0u);
+  const Value fresh = setup->symbols.Intern("fresh");
+  EXPECT_FALSE(pooled->Insert(pooled->row(size - 1)));
+  EXPECT_TRUE(pooled->Insert(Tuple{fresh, fresh}));
+  const Value block[] = {fresh, fresh, fresh, pooled->cell(0, 0)};
+  EXPECT_EQ(pooled->InsertBlock(block, 2, 2), 1u);
+  EXPECT_EQ(pooled->size(), size + 2);
 }
 
 }  // namespace

@@ -134,6 +134,72 @@ TEST(RelationTest, SortedDump) {
   EXPECT_EQ(rel.ToSortedString(symbols), "(a, b)\n(b, a)\n");
 }
 
+// AppendDisjoint leaves the dedup table empty; every later reader and
+// writer must still see the appended rows.
+TEST(RelationTest, AppendDisjointDefersTheDedupTable) {
+  Relation rel(2);
+  rel.Insert(Tuple{1, 2});
+  rel.Insert(Tuple{3, 4});
+  rel.EnsureIndex(0b01);  // built before the append, extended after
+  Relation other(2);
+  other.Insert(Tuple{5, 6});
+  other.Insert(Tuple{7, 8});
+  rel.AppendDisjoint(other);
+  ASSERT_EQ(rel.size(), 4u);
+  EXPECT_EQ(rel.row(2), (Tuple{5, 6}));
+  EXPECT_EQ(rel.row(3), (Tuple{7, 8}));
+
+  // Contains answers without a table.
+  EXPECT_TRUE(rel.Contains(Tuple{1, 2}));
+  EXPECT_TRUE(rel.Contains(Tuple{7, 8}));
+  EXPECT_FALSE(rel.Contains(Tuple{8, 7}));
+
+  // A mixed block keeps only its new rows: (5, 6) and (1, 2) are
+  // present, (9, 9) repeats within the block.
+  const Value block[] = {5, 6, 9, 9, 1, 2, 9, 9, 10, 11};
+  EXPECT_EQ(rel.InsertBlock(block, 2, 5), 2u);
+  ASSERT_EQ(rel.size(), 6u);
+  EXPECT_EQ(rel.row(4), (Tuple{9, 9}));
+  EXPECT_EQ(rel.row(5), (Tuple{10, 11}));
+  EXPECT_TRUE(rel.Contains(Tuple{5, 6}));
+
+  // The index covers the appended rows after EnsureIndex.
+  const ColumnIndex& index = rel.EnsureIndex(0b01);
+  EXPECT_EQ(index.built_upto(), 6u);
+  EXPECT_EQ(Collect(index, {7}, 0, 6), std::vector<uint32_t>{3});
+  EXPECT_EQ(Collect(index, {1}, 0, 6), std::vector<uint32_t>{0});
+}
+
+TEST(RelationTest, InsertAfterAppendDisjointRejectsAppendedRows) {
+  Relation rel(2);
+  rel.Insert(Tuple{0, 0});
+  Relation other(2);
+  other.Insert(Tuple{1, 1});
+  rel.AppendDisjoint(other);
+  EXPECT_FALSE(rel.Insert(Tuple{1, 1}));
+  EXPECT_FALSE(rel.Insert(Tuple{0, 0}));
+  EXPECT_TRUE(rel.Insert(Tuple{2, 2}));
+  EXPECT_EQ(rel.size(), 3u);
+}
+
+TEST(RelationTest, AppendDisjointAcrossChunkEdges) {
+  // Neither side is chunk-aligned, so source and destination chunk
+  // edges fall at different rows.
+  Relation rel(2);
+  for (Value i = 0; i < 3000; ++i) rel.Insert(Tuple{i, i + 1});
+  Relation other(2);
+  for (Value i = 3000; i < 8200; ++i) other.Insert(Tuple{i, i + 1});
+  rel.AppendDisjoint(other);
+  ASSERT_EQ(rel.size(), 8200u);
+  for (Value i = 0; i < 8200; ++i) {
+    ASSERT_EQ(rel.row(i), (Tuple{i, i + 1})) << "row " << i;
+  }
+  for (Value i = 0; i < 8200; i += 97) {
+    EXPECT_FALSE(rel.Insert(Tuple{i, i + 1}));
+  }
+  EXPECT_EQ(rel.size(), 8200u);
+}
+
 TEST(RelationTest, ZeroArityRelation) {
   Relation rel(0);
   EXPECT_TRUE(rel.Insert(Tuple{}));
