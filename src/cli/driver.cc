@@ -1,10 +1,15 @@
 #include "cli/driver.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <ostream>
+#include <type_traits>
 
 #include "core/advisor.h"
 #include "core/report.h"
@@ -46,13 +51,48 @@ Status UsageError(const std::string& message) {
       "\nusage: pdatalog [--mode=seq|naive|par] [--processors=N]"
       " [--scheme=auto|example1|example2|example3|general|tradeoff]"
       " [--rho=R] [--seed=S] [--dump=pred] [--facts=pred:file]"
-      " [--faults=drop:P,dup:P,reorder:P,corrupt:P,delay:P,polls:N]"
+      " [--faults=drop:P,dup:P,reorder:P,delay:P,polls:N]"
       " [--retransmit] [--block-tuples=N]"
       " [--trace=FILE] [--metrics=FILE] [--profile[=FILE]]"
       " [--trace-ring-kb=N] [--incremental]"
       " [--serve[=PORT]] [--serve-batch=N] [--telemetry-port=P]"
       " [--slow-query-ms=T] [--health-queue=N] [--health-lag-ms=M]"
       " [--program=name] [--print-programs] [--stats] [program.dl]");
+}
+
+// Parses all of `text` as a finite number in [lo, hi] into *out:
+// floating-point types via strtod, unsigned ones via strtoull (base
+// prefixes allowed, no sign), signed ones via strtoll (base 10).
+// Anything else (empty, leading space, trailing characters, overflow,
+// nan/inf, out of range) is a UsageError carrying `error`.
+template <typename T>
+Status ParseNumber(const std::string& text, T lo, T hi,
+                   const std::string& error, T* out) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  using Wide = std::conditional_t<
+      std::is_floating_point_v<T>, double,
+      std::conditional_t<std::is_unsigned_v<T>, unsigned long long,
+                         long long>>;
+  Wide value{};
+  if constexpr (std::is_floating_point_v<T>) {
+    value = std::strtod(begin, &end);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    value = std::strtoull(begin, &end, 0);
+  } else {
+    value = std::strtoll(begin, &end, 10);
+  }
+  const bool whole =
+      !text.empty() && !std::isspace(static_cast<unsigned char>(text[0])) &&
+      !(std::is_unsigned_v<T> && text[0] == '-') &&
+      end == begin + text.size() && errno == 0;
+  if (!whole || !std::isfinite(static_cast<double>(value)) || value < lo ||
+      value > hi) {
+    return UsageError(error);
+  }
+  *out = static_cast<T>(value);
+  return Status::Ok();
 }
 
 std::string U64(uint64_t v) { return std::to_string(v); }
@@ -230,11 +270,9 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
         return UsageError("unknown mode '" + rest + "'");
       }
     } else if (ConsumePrefix(arg, "--processors=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 1 || value > 1024) {
-        return UsageError("processors must be in [1, 1024]");
-      }
-      options.processors = value;
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 1, 1024, "processors must be in [1, 1024]",
+          &options.processors));
     } else if (ConsumePrefix(arg, "--scheme=", &rest)) {
       if (rest == "auto") {
         options.scheme = CliOptions::Scheme::kAuto;
@@ -259,21 +297,24 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
         size_t colon = item.find(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 >= item.size()) {
-          return UsageError("--vars expects IDX:VAR[,IDX:VAR...]");
+        constexpr char kVarsError[] = "--vars expects IDX:VAR[,IDX:VAR...]";
+        if (colon == std::string::npos || colon + 1 >= item.size()) {
+          return UsageError(kVarsError);
         }
-        options.rule_vars.emplace_back(std::atoi(item.substr(0, colon).c_str()),
-                                       item.substr(colon + 1));
+        int index = 0;
+        PDATALOG_RETURN_IF_ERROR(
+            ParseNumber(item.substr(0, colon), 0,
+                        std::numeric_limits<int>::max(), kVarsError, &index));
+        options.rule_vars.emplace_back(index, item.substr(colon + 1));
         pos = comma == std::string::npos ? rest.size() : comma + 1;
       }
     } else if (ConsumePrefix(arg, "--rho=", &rest)) {
-      options.rho = std::atof(rest.c_str());
-      if (options.rho < 0.0 || options.rho > 1.0) {
-        return UsageError("rho must be in [0, 1]");
-      }
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 0.0, 1.0, "rho must be in [0, 1]", &options.rho));
     } else if (ConsumePrefix(arg, "--seed=", &rest)) {
-      options.seed = std::strtoull(rest.c_str(), nullptr, 0);
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, uint64_t{0}, std::numeric_limits<uint64_t>::max(),
+          "seed must be an unsigned 64-bit integer", &options.seed));
     } else if (ConsumePrefix(arg, "--dump=", &rest)) {
       options.dump_predicate = rest;
     } else if (ConsumePrefix(arg, "--query=", &rest)) {
@@ -303,30 +344,36 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
         }
         std::string key = item.substr(0, colon);
         std::string value = item.substr(colon + 1);
+        double* probability = nullptr;
         if (key == "drop") {
-          options.faults.drop = std::atof(value.c_str());
+          probability = &options.faults.drop;
         } else if (key == "dup" || key == "duplicate") {
-          options.faults.duplicate = std::atof(value.c_str());
+          probability = &options.faults.duplicate;
         } else if (key == "reorder") {
-          options.faults.reorder = std::atof(value.c_str());
-        } else if (key == "corrupt") {
-          options.faults.corrupt = std::atof(value.c_str());
+          probability = &options.faults.reorder;
         } else if (key == "delay") {
-          options.faults.delay = std::atof(value.c_str());
+          probability = &options.faults.delay;
         } else if (key == "polls") {
-          options.faults.delay_polls = std::atoi(value.c_str());
+          PDATALOG_RETURN_IF_ERROR(ParseNumber(
+              value, 1, std::numeric_limits<int>::max(),
+              "--faults polls must be a positive integer",
+              &options.faults.delay_polls));
         } else {
           return UsageError("unknown --faults key '" + key + "'");
+        }
+        if (probability != nullptr) {
+          PDATALOG_RETURN_IF_ERROR(ParseNumber(
+              value, 0.0, 1.0, "--faults " + key + " must be in [0, 1]",
+              probability));
         }
         pos = comma == std::string::npos ? rest.size() : comma + 1;
       }
     } else if (ConsumePrefix(arg, "--block-tuples=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 1 || static_cast<uint32_t>(value) > kMaxBlockTuples) {
-        return UsageError("block-tuples must be in [1, " +
-                          std::to_string(kMaxBlockTuples) + "]");
-      }
-      options.block_tuples = value;
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 1, static_cast<int>(kMaxBlockTuples),
+          "block-tuples must be in [1, " + std::to_string(kMaxBlockTuples) +
+              "]",
+          &options.block_tuples));
     } else if (ConsumePrefix(arg, "--trace=", &rest)) {
       if (rest.empty()) return UsageError("--trace needs a file path");
       options.trace_file = rest;
@@ -340,12 +387,10 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
       options.profile = true;
       options.profile_file = rest;
     } else if (ConsumePrefix(arg, "--trace-ring-kb=", &rest)) {
-      int value = std::atoi(rest.c_str());
       // Each KiB holds 64 events; cap at 1 GiB per ring.
-      if (value < 1 || value > (1 << 20)) {
-        return UsageError("trace-ring-kb must be in [1, 1048576]");
-      }
-      options.trace_ring_kb = value;
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 1, 1 << 20, "trace-ring-kb must be in [1, 1048576]",
+          &options.trace_ring_kb));
     } else if (arg == "--retransmit") {
       options.retransmit = true;
     } else if (arg == "--advise") {
@@ -357,43 +402,31 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
     } else if (arg == "--serve") {
       options.serve = true;
     } else if (ConsumePrefix(arg, "--serve=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 0 || value > 65535 ||
-          rest.find_first_not_of("0123456789") != std::string::npos) {
-        return UsageError("--serve port must be in [0, 65535]");
-      }
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 0, 65535, "--serve port must be in [0, 65535]",
+          &options.serve_port));
       options.serve = true;
-      options.serve_port = value;
     } else if (ConsumePrefix(arg, "--serve-batch=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 1 || value > (1 << 20)) {
-        return UsageError("serve-batch must be in [1, 1048576]");
-      }
-      options.serve_batch = value;
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 1, 1 << 20, "serve-batch must be in [1, 1048576]",
+          &options.serve_batch));
     } else if (ConsumePrefix(arg, "--telemetry-port=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (rest.empty() || value < 0 || value > 65535 ||
-          rest.find_first_not_of("0123456789") != std::string::npos) {
-        return UsageError("--telemetry-port must be in [0, 65535]");
-      }
-      options.telemetry_port = value;
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 0, 65535, "--telemetry-port must be in [0, 65535]",
+          &options.telemetry_port));
     } else if (ConsumePrefix(arg, "--slow-query-ms=", &rest)) {
-      options.slow_query_ms = std::atof(rest.c_str());
-      if (options.slow_query_ms < 0) {
-        return UsageError("slow-query-ms must be >= 0");
-      }
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 0.0, std::numeric_limits<double>::max(),
+          "slow-query-ms must be >= 0", &options.slow_query_ms));
     } else if (ConsumePrefix(arg, "--health-queue=", &rest)) {
-      long long value = std::atoll(rest.c_str());
-      if (rest.empty() || value < 0 ||
-          rest.find_first_not_of("0123456789") != std::string::npos) {
-        return UsageError("health-queue must be a non-negative integer");
-      }
-      options.health_queue = value;
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, int64_t{0}, std::numeric_limits<int64_t>::max(),
+          "health-queue must be a non-negative integer",
+          &options.health_queue));
     } else if (ConsumePrefix(arg, "--health-lag-ms=", &rest)) {
-      options.health_lag_ms = std::atof(rest.c_str());
-      if (options.health_lag_ms < 0) {
-        return UsageError("health-lag-ms must be >= 0");
-      }
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 0.0, std::numeric_limits<double>::max(),
+          "health-lag-ms must be >= 0", &options.health_lag_ms));
     } else if (arg == "--list-programs") {
       options.list_programs = true;
     } else if (arg == "--explain") {
@@ -401,8 +434,9 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
     } else if (arg == "--stratified") {
       options.stratified = true;
     } else if (ConsumePrefix(arg, "--net=", &rest)) {
-      options.net_cost = std::atof(rest.c_str());
-      if (options.net_cost < 0) return UsageError("net cost must be >= 0");
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(
+          rest, 0.0, std::numeric_limits<double>::max(),
+          "net cost must be >= 0", &options.net_cost));
     } else if (arg == "--print-programs") {
       options.print_programs = true;
     } else if (arg == "--stats") {
@@ -672,8 +706,6 @@ StatusOr<std::string> RunCli(const CliOptions& options,
   popts.faults.seed = options.seed;
   popts.retransmit = options.retransmit;
   popts.block_tuples = options.block_tuples;
-  // Corruption flips wire bytes, so it needs the serialized channels.
-  if (popts.faults.corrupt > 0) popts.serialize_messages = true;
   std::unique_ptr<Tracer> tracer;
   if (!options.trace_file.empty() || options.profile) {
     tracer =
@@ -696,8 +728,7 @@ StatusOr<std::string> RunCli(const CliOptions& options,
   if (result->faults.any()) {
     out += "faults injected: dropped " + U64(result->faults.dropped) +
            ", duplicated " + U64(result->faults.duplicated) +
-           ", reordered " + U64(result->faults.reordered) +
-           ", corrupted " + U64(result->faults.corrupted) + ", delayed " +
+           ", reordered " + U64(result->faults.reordered) + ", delayed " +
            U64(result->faults.delayed) + "; retransmitted " +
            U64(result->faults.retransmitted) + "\n";
   }

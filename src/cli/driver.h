@@ -57,16 +57,15 @@
 //     --net=C                   per-message cost for --advise (default 1)
 //     --explain                 print the compiled access plans (full +
 //                               semi-naive delta variants) and exit
-//     --faults=drop:0.1,dup:0.05,reorder:0.1,corrupt:0.05,delay:0.1,polls:3
+//     --faults=drop:0.1,dup:0.05,reorder:0.1,delay:0.1,polls:3
 //                               inject channel faults with the given
-//                               per-message probabilities (parallel mode;
-//                               keys may be omitted; corrupt implies
-//                               serialized channels; seeded by --seed).
+//                               per-frame probabilities (parallel mode;
+//                               keys may be omitted; seeded by --seed).
 //                               Without --retransmit the run *detects*
 //                               losses and fails; with it, it recovers.
 //     --retransmit              enable the at-least-once channel
 //                               protocol (resend unacknowledged frames)
-//     --block-tuples=N          flush threshold for the block wire
+//     --block-tuples=N          flush threshold for the block channel
 //                               protocol: outgoing tuples accumulate per
 //                               (destination, predicate) and ship as one
 //                               frame per block, flushing mid-round at N
@@ -75,7 +74,7 @@
 //                               strata bottom-up
 //     --trace=FILE              write a Chrome-trace (Perfetto) JSON of
 //                               per-worker phase spans (init/drain/probe/
-//                               insert/encode/flush/idle) and round
+//                               insert/flush/idle) and round
 //                               instants; open at ui.perfetto.dev or
 //                               chrome://tracing
 //     --metrics=FILE            write the run's metrics registry (named

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "core/wire.h"
 #include "obs/trace.h"
 
 namespace pdatalog {
@@ -88,7 +87,7 @@ void Channel::NoteFlowRecv(size_t frames) {
   }
   // The fast path is FIFO and lossless, so the k-th frame drained is
   // the k-th frame sent; a running delivery counter reconstructs each
-  // frame's sequence without touching the wire format.
+  // frame's sequence without adding anything to the frame.
   for (size_t k = 0; k < frames; ++k) {
     uint64_t seq = delivered_frames_ + k;
     if (seq > kFlowMaxSeq) break;
@@ -126,15 +125,6 @@ void Channel::EnqueueBlockLocked(TupleBlock block) {
           {seq, std::move(block),
            fx.drain_calls + fx.injector->delay_polls()});
       return;
-    case FaultInjector::Action::kCorrupt:
-      // Only encoded frames have bytes to flip; a block of decoded
-      // values is delivered intact, without counting.
-      if (!block.encoded.empty()) {
-        ++fx.counters.corrupted;
-        block.encoded[fx.injector->CorruptOffset(block.encoded.size())] ^=
-            0xa5;
-      }
-      [[fallthrough]];
     case FaultInjector::Action::kDeliver:
       fx.queue.emplace_back(seq, std::move(block));
       return;
@@ -172,9 +162,9 @@ void Channel::DeliverBlockLocked(TupleBlock block,
   }
 }
 
-void Channel::NoteDiscardLocked(uint64_t* counter, TracePhase phase) {
-  ++*counter;
-  if (recv_trace_ != nullptr) recv_trace_->Instant(phase);
+void Channel::NoteDuplicateLocked() {
+  ++fx_->counters.duplicates_discarded;
+  if (recv_trace_ != nullptr) recv_trace_->Instant(TracePhase::kDupFrame);
 }
 
 void Channel::DrainBlocksLocked(std::vector<TupleBlock>* out) {
@@ -188,24 +178,11 @@ void Channel::DrainBlocksLocked(std::vector<TupleBlock>* out) {
   }
   for (auto& [seq, b] : fx.queue) {
     if (seq < fx.deliver_next) {
-      NoteDiscardLocked(&fx.counters.duplicates_discarded,
-                        TracePhase::kDupFrame);
-      continue;
-    }
-    // An encoded frame the injector corrupted fails its checksum; treat
-    // it as lost (no delivery, no ack) so the sender's resend recovers
-    // it.
-    if (!b.encoded.empty() &&
-        !FrameChecksumOk(b.encoded.data(), b.encoded.size())) {
-      NoteDiscardLocked(&fx.counters.corrupt_discarded,
-                        TracePhase::kCorruptFrame);
-      continue;
-    }
-    if (seq == fx.deliver_next) {
+      NoteDuplicateLocked();
+    } else if (seq == fx.deliver_next) {
       DeliverBlockLocked(std::move(b), out);
     } else if (!fx.ahead.emplace(seq, std::move(b)).second) {
-      NoteDiscardLocked(&fx.counters.duplicates_discarded,
-                        TracePhase::kDupFrame);
+      NoteDuplicateLocked();
     }
   }
   fx.queue.clear();

@@ -5,21 +5,18 @@
 // some finite time."
 //
 // The unit of communication is a *block*: a run of same-predicate tuples
-// accumulated by the sender and shipped as one frame — one header, one
-// checksum, one sequence number, one publication — instead of one frame
-// per tuple. Statistics stay tuple-granular (total_sent counts tuples)
-// so the Mattern termination counters and the channel matrix keep their
-// paper semantics; frames are tracked separately.
+// accumulated by the sender and shipped as one frame — one sequence
+// number, one publication — instead of one frame per tuple. Statistics
+// stay tuple-granular (total_sent counts tuples) so the Mattern
+// termination counters and the channel matrix keep their paper
+// semantics; frames are tracked separately.
 //
-// The channel itself is the data-movement layer: on the default fast
-// path a sender appends the frame to a mutex-guarded queue and the
-// receiver swaps the whole backlog out in one drain. The lock order of
-// that append/drain pair is the happens-before edge the flow-trace
-// instants and the Mattern counters rely on.
-//
-// In serialized (message-passing) mode a frame carries its EncodeBlock
-// bytes instead of decoded values (TupleBlock::encoded); the channel
-// moves both kinds the same way and the receiving worker decodes.
+// The channel itself is the data-movement layer: a sender moves the
+// TupleBlock object into a mutex-guarded queue and the receiver swaps
+// the whole backlog out in one drain. Nothing is encoded or copied on
+// the way. The lock order of that append/drain pair is the
+// happens-before edge the flow-trace instants and the Mattern counters
+// rely on.
 //
 // The reliability assumption is exactly that — an assumption — so the
 // channel also supports a deterministic fault-injection mode
@@ -29,14 +26,11 @@
 // unacknowledged frames) that restores it. Both are opt-in and run on a
 // seq-stamped slow path under the same mutex. Faults and sequence
 // numbers apply per block: a dropped block loses all its tuples, one
-// retransmission recovers all of them. Corruption flips a byte of an
-// encoded frame, and a reliable receiver discards any encoded frame
-// whose checksum fails, so the sender's resend recovers it.
+// retransmission recovers all of them.
 #ifndef PDATALOG_CORE_CHANNEL_H_
 #define PDATALOG_CORE_CHANNEL_H_
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -50,30 +44,22 @@
 
 namespace pdatalog {
 
-class TraceRing;                   // obs/trace.h; receive-side instants
-enum class TracePhase : uint16_t;  // obs/trace.h
+class TraceRing;  // obs/trace.h; receive-side instants
 
-// Single source of truth for the block frame's layout (core/wire.cc
-// implements the codec against these constants; tests/block_test.cc
-// asserts WireBytes() == EncodeBlock().size() so the byte statistics
-// cannot drift from the real encoder).
+// The modeled size of a block frame, as a message-passing realization
+// would put it on the wire. Blocks move through shared memory, so no
+// frame is ever encoded; the byte counters (Channel::total_bytes,
+// run.cross_bytes) and the pooling cost model (TupleWireBytes) report
+// this size. tests/block_test.cc pins it against a hand-computed frame.
 //
 // Block frame (little-endian):
-//   u32 predicate id | u16 (kBlockArityFlag | arity) | u32 count |
-//   count * u32 per column (columnar: column 0's values, then column
-//   1's, ...) | u32 checksum
-//
-// The arity word's high bit marks the frame as a block: a header
-// without it is rejected instead of being misread.
+//   u32 predicate id | u16 arity | u32 count |
+//   count * u32 per column | u32 checksum
 inline constexpr size_t kWireValueBytes = 4;     // u32 per column
-inline constexpr size_t kWireChecksumBytes = 4;  // FNV-1a over the frame
-inline constexpr int kMaxWireArity = 32;
-
-inline constexpr uint16_t kBlockArityFlag = 0x8000;
-// u32 predicate + u16 flagged arity + u32 tuple count.
+inline constexpr size_t kWireChecksumBytes = 4;  // trailing frame checksum
+// u32 predicate + u16 arity + u32 tuple count.
 inline constexpr size_t kBlockHeaderBytes = 10;
-// Sanity cap on the per-frame tuple count; bounds decode-side buffer
-// growth against a corrupted count field that beat the checksum.
+// Cap on the per-frame tuple count (the flush threshold's upper bound).
 inline constexpr uint32_t kMaxBlockTuples = 1u << 20;
 
 constexpr size_t BlockWireBytes(int arity, uint32_t count) {
@@ -90,48 +76,27 @@ constexpr size_t TupleWireBytes(int arity) {
          kWireChecksumBytes;
 }
 
-// A run of same-predicate tuples shipped as one frame. Send-side blocks
-// accumulate row-major (append order) and the wire encoder transposes
-// to the columnar layout; decoded blocks keep the wire's column-major
-// layout (`columnar` set) so the receive path can append them to the
-// column store without ever re-rowifying.
-//
-// In serialized mode the frame travels as its EncodeBlock bytes in
-// `encoded` instead: `count` still holds the tuple count (for the
-// channel's accounting), the other fields are unset, and the receiver
-// decodes the bytes (core/wire.h).
+// A run of same-predicate tuples shipped as one frame, row-major in
+// append order. The receiver ingests the values as they were sent
+// (Relation::InsertBlock).
 struct TupleBlock {
   Symbol predicate = 0;
   int arity = 0;
   uint32_t count = 0;
-  bool columnar = false;         // layout of `values`; false = row-major
-  std::vector<Value> values;     // count * arity
-  std::vector<uint8_t> encoded;  // non-empty: an encoded frame
+  std::vector<Value> values;  // count * arity, row-major
 
   void Append(const Value* vals, int n) {
-    assert(!columnar);
     values.insert(values.end(), vals, vals + n);
     ++count;
   }
-  // Layout-aware single-cell read (tests and cold paths).
-  Value value(uint32_t r, int c) const {
-    return columnar ? values[static_cast<size_t>(c) * count + r]
-                    : values[static_cast<size_t>(r) * arity + c];
-  }
-  // Row pointer; only meaningful for send-side (row-major) blocks.
   const Value* row(uint32_t r) const {
-    assert(!columnar);
     return values.data() + static_cast<size_t>(r) * arity;
   }
-  size_t WireBytes() const {
-    return encoded.empty() ? BlockWireBytes(arity, count) : encoded.size();
-  }
+  size_t WireBytes() const { return BlockWireBytes(arity, count); }
   // Keeps capacity for the next accumulation cycle.
   void Reset() {
     count = 0;
-    columnar = false;
     values.clear();
-    encoded.clear();
   }
 };
 
@@ -154,8 +119,7 @@ class Channel {
   // Moves all pending (deliverable) frames into `out` (appending), in
   // send order on the fast path. Returns the number of *tuples* drained
   // — in retransmit mode this counts only newly delivered logical
-  // tuples, never duplicates. A reliable channel discards encoded
-  // frames whose checksum fails instead of surfacing them.
+  // tuples, never duplicates.
   size_t DrainBlocks(std::vector<TupleBlock>* out);
 
   // Whether anything is drainable now or will become drainable without
@@ -183,8 +147,8 @@ class Channel {
   // Injected-event counts for this channel (zeroes when no injector).
   FaultCounters fault_counters() const;
 
-  // Observability hook: drains emit instant events (corrupt frame
-  // discarded, duplicate discarded) on `ring`. Drains run only on the
+  // Observability hook: drains emit an instant event for each
+  // duplicate frame discarded on `ring`. Drains run only on the
   // receiving worker's thread, so the ring must be the receiver's;
   // configure before the run, alongside faults/retransmit. These
   // discards happen only on the fault/retransmit slow path, so the
@@ -199,7 +163,7 @@ class Channel {
   // be the sending worker's ring and `recv_ring` the receiver's — sends
   // run on the sender's thread and drains on the receiver's, so both
   // keep the single-writer invariant. Flow identity is (from, to,
-  // per-channel frame index); nothing changes on the wire. The send
+  // per-channel frame index); the frame carries nothing extra. The send
   // instant is recorded before the frame is enqueued and the receive
   // instant after it is drained, so the queue lock's happens-before
   // edge keeps send ts < recv ts. Only the default fast path emits
@@ -222,7 +186,7 @@ class Channel {
     return total_sent_.load(std::memory_order_relaxed);
   }
 
-  // Total wire bytes ever sent on this channel.
+  // Total modeled frame bytes (BlockWireBytes) ever sent on this channel.
   uint64_t total_bytes() const {
     return total_bytes_.load(std::memory_order_relaxed);
   }
@@ -282,8 +246,8 @@ class Channel {
   // Delivers one in-order frame and flushes any directly following
   // frames buffered in `ahead`.
   void DeliverBlockLocked(TupleBlock block, std::vector<TupleBlock>* out);
-  // Counts a discarded frame and marks it on the receiver's ring.
-  void NoteDiscardLocked(uint64_t* counter, TracePhase phase);
+  // Counts a discarded duplicate and marks it on the receiver's ring.
+  void NoteDuplicateLocked();
 
   mutable std::mutex mutex_;      // queue_ and the Extras state
   std::vector<TupleBlock> queue_;  // fast path: frames in send order
@@ -294,7 +258,7 @@ class Channel {
   int flow_to_ = -1;
   uint64_t delivered_frames_ = 0;  // fast-path frames drained so far
   std::atomic<uint64_t> total_sent_{0};    // tuples
-  std::atomic<uint64_t> total_bytes_{0};   // wire bytes
+  std::atomic<uint64_t> total_bytes_{0};   // modeled frame bytes
   std::atomic<uint64_t> total_frames_{0};  // frames
 };
 
@@ -361,7 +325,7 @@ class CommNetwork {
     return m;
   }
 
-  // Per-channel wire bytes, [from][to].
+  // Per-channel modeled frame bytes, [from][to].
   std::vector<std::vector<uint64_t>> BytesMatrix() const {
     std::vector<std::vector<uint64_t>> m(
         num_processors_, std::vector<uint64_t>(num_processors_, 0));

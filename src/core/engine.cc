@@ -75,7 +75,7 @@ Status ValidateFunctions(const RewriteBundle& bundle) {
 
 Status ValidateFaultSpec(const ParallelOptions& options) {
   const FaultSpec& f = options.faults;
-  const double probs[] = {f.drop, f.duplicate, f.reorder, f.corrupt, f.delay};
+  const double probs[] = {f.drop, f.duplicate, f.reorder, f.delay};
   for (double p : probs) {
     if (p < 0.0 || p > 1.0) {
       return Status::InvalidArgument(
@@ -88,13 +88,6 @@ Status ValidateFaultSpec(const ParallelOptions& options) {
   }
   if (f.delay > 0.0 && f.delay_polls < 1) {
     return Status::InvalidArgument("fault delay_polls must be >= 1");
-  }
-  if (f.corrupt > 0.0 && !options.serialize_messages) {
-    // Shared-memory channels move block objects, so there are no wire
-    // bytes to corrupt; refuse rather than silently not injecting.
-    return Status::InvalidArgument(
-        "corrupt faults require serialize_messages (there are no wire "
-        "bytes to corrupt on shared-memory channels)");
   }
   if (options.block_tuples < 1 ||
       static_cast<uint32_t>(options.block_tuples) > kMaxBlockTuples) {
@@ -133,11 +126,9 @@ void AbsorbFaultCounters(const FaultCounters& f, MetricsRegistry* m) {
   m->AddCounter("faults.dropped", f.dropped);
   m->AddCounter("faults.duplicated", f.duplicated);
   m->AddCounter("faults.reordered", f.reordered);
-  m->AddCounter("faults.corrupted", f.corrupted);
   m->AddCounter("faults.delayed", f.delayed);
   m->AddCounter("faults.retransmitted", f.retransmitted);
   m->AddCounter("faults.duplicates_discarded", f.duplicates_discarded);
-  m->AddCounter("faults.corrupt_discarded", f.corrupt_discarded);
 }
 
 // Re-derives the run-level scalar fields from the registry so the text
@@ -245,7 +236,6 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
         Worker::Create(&bundle, i, edb, std::move(partition->fragments[i]),
                        &network, &detector);
     if (!worker.ok()) return worker.status();
-    (*worker)->set_serialize_messages(options.serialize_messages);
     (*worker)->set_retransmit(options.retransmit);
     (*worker)->set_block_tuples(options.block_tuples);
     if (options.tracer != nullptr) {
@@ -290,9 +280,7 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     for (const Status& st : worker_status) PDATALOG_RETURN_IF_ERROR(st);
   } else {
     // Deterministic round-robin schedule.
-    for (auto& worker : workers) {
-      PDATALOG_RETURN_IF_ERROR(worker->Init());
-    }
+    for (auto& worker : workers) worker->Init();
     bool progress = true;
     while (progress) {
       progress = false;

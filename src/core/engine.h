@@ -25,32 +25,25 @@ struct ParallelOptions {
   // false: deterministic round-robin scheduling of the same workers in
   // the calling thread; used by tests to get reproducible interleavings.
   bool use_threads = true;
-  // true: realize the channels by message passing — every block is
-  // encoded to bytes on send and decoded on receipt (core/wire.h) —
-  // instead of moving objects through shared memory. Same results,
-  // slightly slower; exists to validate the paper's "either shared
-  // memory or message passing" claim.
-  bool serialize_messages = false;
   // Deterministic fault injection on the cross-processor channels (see
-  // core/fault.h). Corruption faults flip wire bytes and therefore
-  // require serialize_messages. With faults enabled and retransmit off,
-  // a run whose messages were lost/duplicated fails with a diagnostic
-  // Status — never a silently wrong fixpoint.
+  // core/fault.h). With faults enabled and retransmit off, a run whose
+  // messages were lost/duplicated fails with a diagnostic Status —
+  // never a silently wrong fixpoint.
   FaultSpec faults;
   // At-least-once delivery: senders keep unacknowledged copies of every
   // cross frame and idle workers periodically re-send them; receivers
   // deliver in order exactly once. Makes the fixpoint exact under drop/
-  // duplicate/reorder/corrupt/delay faults.
+  // duplicate/reorder/delay faults.
   bool retransmit = false;
-  // Flush threshold for the block-oriented wire protocol: each worker
+  // Flush threshold for the block-oriented channel protocol: each worker
   // accumulates outgoing tuples per (destination, predicate) and ships
   // one frame per block — at the end of the round, or mid-round once a
   // block holds this many tuples. 1 reproduces the per-tuple protocol
   // (one frame per tuple); must be in [1, kMaxBlockTuples].
   int block_tuples = 256;
   // Observability: when set, worker i records phase spans on the
-  // tracer's ring i and channel (i, j) records receive-side discard
-  // instants on ring j. The tracer must be sized for at least
+  // tracer's ring i and channel (i, j) records receive-side duplicate
+  // discard instants on ring j. The tracer must be sized for at least
   // num_processors workers and must outlive the run. Null (the
   // default) disables tracing entirely.
   Tracer* tracer = nullptr;
@@ -66,14 +59,15 @@ struct ParallelResult {
   std::vector<std::vector<RoundLog>> worker_rounds;
   // channel_matrix[i][j] = tuples sent from processor i to j.
   std::vector<std::vector<uint64_t>> channel_matrix;
-  // bytes_matrix[i][j] = wire bytes sent from processor i to j.
+  // bytes_matrix[i][j] = modeled frame bytes (BlockWireBytes) sent from
+  // processor i to j.
   std::vector<std::vector<uint64_t>> bytes_matrix;
   // frames_matrix[i][j] = block frames sent from processor i to j.
   std::vector<std::vector<uint64_t>> frames_matrix;
 
   uint64_t total_firings = 0;
   uint64_t cross_tuples = 0;   // inter-processor tuples
-  uint64_t cross_bytes = 0;    // inter-processor wire bytes
+  uint64_t cross_bytes = 0;    // inter-processor modeled frame bytes
   uint64_t cross_frames = 0;   // inter-processor block frames
   uint64_t self_tuples = 0;    // self-routed tuples (no communication)
   // Sum over processors of distinct t_out tuples; exceeds the pooled

@@ -4,8 +4,8 @@
 // processor i puts some data in channel ij, then processor j receives
 // this data without error within some finite time". This module lets
 // tests and experiments violate that assumption on purpose — dropping,
-// duplicating, reordering, corrupting, or delaying individual messages
-// with seeded per-channel probabilities — so the runtime's failure
+// duplicating, reordering, or delaying individual block frames with
+// seeded per-channel probabilities — so the runtime's failure
 // behavior is defined and tested instead of accidental. See
 // docs/architecture.md, "Failure model".
 //
@@ -17,7 +17,6 @@
 #ifndef PDATALOG_CORE_FAULT_H_
 #define PDATALOG_CORE_FAULT_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "util/hash.h"
@@ -30,18 +29,14 @@ struct FaultSpec {
   double drop = 0;       // message vanishes (never enqueued)
   double duplicate = 0;  // message enqueued twice
   double reorder = 0;    // message jumps the queue (front insertion)
-  double corrupt = 0;    // one payload byte flipped (serialized mode)
   double delay = 0;      // message held back for `delay_polls` drains
   int delay_polls = 3;   // maturity: drains before a delayed msg appears
   uint64_t seed = 0x5eed;
 
   bool any() const {
-    return drop > 0 || duplicate > 0 || reorder > 0 || corrupt > 0 ||
-           delay > 0;
+    return drop > 0 || duplicate > 0 || reorder > 0 || delay > 0;
   }
-  double total() const {
-    return drop + duplicate + reorder + corrupt + delay;
-  }
+  double total() const { return drop + duplicate + reorder + delay; }
 };
 
 // Counts of injected events, kept per channel and aggregated per run so
@@ -50,27 +45,23 @@ struct FaultCounters {
   uint64_t dropped = 0;
   uint64_t duplicated = 0;
   uint64_t reordered = 0;
-  uint64_t corrupted = 0;
   uint64_t delayed = 0;
   // Reliable-mode bookkeeping (not injector actions, but part of the
   // same fault story): retransmitted frames and receiver-side discards.
   uint64_t retransmitted = 0;
   uint64_t duplicates_discarded = 0;
-  uint64_t corrupt_discarded = 0;
 
   bool any() const {
-    return dropped || duplicated || reordered || corrupted || delayed ||
-           retransmitted || duplicates_discarded || corrupt_discarded;
+    return dropped || duplicated || reordered || delayed || retransmitted ||
+           duplicates_discarded;
   }
   FaultCounters& operator+=(const FaultCounters& o) {
     dropped += o.dropped;
     duplicated += o.duplicated;
     reordered += o.reordered;
-    corrupted += o.corrupted;
     delayed += o.delayed;
     retransmitted += o.retransmitted;
     duplicates_discarded += o.duplicates_discarded;
-    corrupt_discarded += o.corrupt_discarded;
     return *this;
   }
 };
@@ -79,7 +70,7 @@ struct FaultCounters {
 // channel draws decisions under its send lock.
 class FaultInjector {
  public:
-  enum class Action { kDeliver, kDrop, kDuplicate, kReorder, kCorrupt, kDelay };
+  enum class Action { kDeliver, kDrop, kDuplicate, kReorder, kDelay };
 
   FaultInjector(const FaultSpec& spec, int from, int to)
       : spec_(spec),
@@ -96,15 +87,8 @@ class FaultInjector {
     u -= spec_.duplicate;
     if (u < spec_.reorder) return Action::kReorder;
     u -= spec_.reorder;
-    if (u < spec_.corrupt) return Action::kCorrupt;
-    u -= spec_.corrupt;
     if (u < spec_.delay) return Action::kDelay;
     return Action::kDeliver;
-  }
-
-  // Which byte of a `size`-byte frame to flip for kCorrupt.
-  size_t CorruptOffset(size_t size) {
-    return size == 0 ? 0 : static_cast<size_t>(rng_.NextBelow(size));
   }
 
   int delay_polls() const { return spec_.delay_polls; }

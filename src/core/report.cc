@@ -31,14 +31,11 @@ std::string RenderReport(const ParallelResult& result,
       out += "faults: " + std::to_string(result.faults.dropped) +
              " dropped, " + std::to_string(result.faults.duplicated) +
              " duplicated, " + std::to_string(result.faults.reordered) +
-             " reordered, " + std::to_string(result.faults.corrupted) +
-             " corrupted, " + std::to_string(result.faults.delayed) +
+             " reordered, " + std::to_string(result.faults.delayed) +
              " delayed; " + std::to_string(result.faults.retransmitted) +
              " retransmitted, " +
              std::to_string(result.faults.duplicates_discarded) +
-             " duplicates discarded, " +
-             std::to_string(result.faults.corrupt_discarded) +
-             " corrupt frames discarded\n";
+             " duplicates discarded\n";
     }
   }
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <thread>
 
-#include "core/wire.h"
 #include "obs/trace.h"
 
 namespace pdatalog {
@@ -190,7 +189,7 @@ void Worker::SendOutputDelta() {
   FlushSends();
 }
 
-Status Worker::Init() {
+void Worker::Init() {
   TraceScope span(trace_, TracePhase::kInit);
   round_logs_.emplace_back();
   current_log_ = &round_logs_.back();
@@ -202,7 +201,6 @@ Status Worker::Init() {
   // initialization rule flow through the sending rules like any other).
   SendOutputDelta();
   current_log_ = nullptr;
-  return send_status_;
 }
 
 StatusOr<size_t> Worker::IngestBlock(const TupleBlock& block, int from) {
@@ -211,9 +209,8 @@ StatusOr<size_t> Worker::IngestBlock(const TupleBlock& block, int from) {
                          ? nullptr
                          : local_db_.Find(in_it->second);
   if (in_rel == nullptr || in_rel->arity() != block.arity) {
-    // A corrupted frame can pass the checksum only with probability
-    // 2^-32, but a bug in the sending rules would land here too; both
-    // must fail the run rather than feed wrong tuples to the fixpoint.
+    // Only a bug in the sending rules lands here; it must fail the run
+    // rather than feed wrong tuples to the fixpoint.
     return Status::Internal(
         "worker " + std::to_string(id_) +
         ": received tuple block for unknown predicate id " +
@@ -221,8 +218,8 @@ StatusOr<size_t> Worker::IngestBlock(const TupleBlock& block, int from) {
         std::to_string(block.arity) + ") from processor " +
         std::to_string(from));
   }
-  stats_.in_inserted += in_rel->InsertBlock(
-      block.values.data(), block.arity, block.count, block.columnar);
+  stats_.in_inserted +=
+      in_rel->InsertBlock(block.values.data(), block.arity, block.count);
   return static_cast<size_t>(block.count);
 }
 
@@ -235,28 +232,11 @@ StatusOr<size_t> Worker::DrainChannels() {
     block_buffer_.clear();
     network_->channel(j, id_).DrainBlocks(&block_buffer_);
     frames += block_buffer_.size();
-    for (const TupleBlock& frame : block_buffer_) {
-      const TupleBlock* block = &frame;
-      if (!frame.encoded.empty()) {
-        size_t offset = 0;
-        Status decoded =
-            DecodeBlockInto(frame.encoded, &offset, &decode_block_);
-        if (decoded.ok() && offset != frame.encoded.size()) {
-          decoded = Status::InvalidArgument("trailing bytes after block");
-        }
-        if (!decoded.ok()) {
-          return Status(decoded.code(),
-                        "worker " + std::to_string(id_) +
-                            ": bad frame on channel " + std::to_string(j) +
-                            "->" + std::to_string(id_) + ": " +
-                            decoded.message());
-        }
-        block = &decode_block_;
-      }
-      // Count decoded tuples, not drained frames: the termination
-      // detector's receive counter must agree with the block-granular
-      // CountSend(n) on the send side.
-      StatusOr<size_t> n = IngestBlock(*block, j);
+    for (const TupleBlock& block : block_buffer_) {
+      // Count tuples, not drained frames: the termination detector's
+      // receive counter must agree with the block-granular CountSend(n)
+      // on the send side.
+      StatusOr<size_t> n = IngestBlock(block, j);
       if (!n.ok()) return n.status();
       total += *n;
     }
@@ -306,27 +286,7 @@ void Worker::FlushBlock(int dest, TupleBlock* block) {
   // (Mattern's rule), in one detector call instead of one per tuple.
   detector_->CountSend(id_, block->count);
   ++stats_.frames;
-  Channel& channel = network_->channel(id_, dest);
-  if (serialize_messages_) {
-    TupleBlock frame;
-    frame.count = block->count;
-    Status encoded;
-    {
-      TraceScope enc(trace_, TracePhase::kEncode, block->count);
-      encoded = EncodeBlock(*block, &frame.encoded);
-    }
-    if (!encoded.ok()) {
-      // Plan validation rejects arity > kMaxWireArity up front, so
-      // this is defensive. The block is not enqueued; the latched
-      // status aborts the run before quiescence is ever declared.
-      if (send_status_.ok()) send_status_ = std::move(encoded);
-      block->Reset();
-      return;
-    }
-    channel.SendBlock(std::move(frame));
-  } else {
-    channel.SendBlock(std::move(*block));
-  }
+  network_->channel(id_, dest).SendBlock(std::move(*block));
   block->Reset();
 }
 
@@ -403,12 +363,10 @@ void Worker::SendNewRows(Symbol pred, const Relation& out, size_t begin,
 }
 
 StatusOr<bool> Worker::Step() {
-  if (!send_status_.ok()) return send_status_;
   StatusOr<size_t> got = DrainChannels();
   if (!got.ok()) return got.status();
   if (*got == 0 && !round_->HasDelta()) return false;
   ProcessRound();
-  if (!send_status_.ok()) return send_status_;
   return true;
 }
 
@@ -458,12 +416,7 @@ class IdleBackoff {
 
 Status Worker::RunLoop() {
   detector_->SetIdle(id_, false);
-  Status init = Init();
-  if (!init.ok()) {
-    detector_->SetIdle(id_, true);
-    detector_->Abort(init);
-    return init;
-  }
+  Init();
   IdleBackoff backoff;
   uint64_t idle_polls = 0;
   while (true) {

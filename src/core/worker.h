@@ -77,14 +77,13 @@ class Worker {
 
   // Evaluates the initialization rules (those without t_in body atoms)
   // and sends the resulting output delta. Call once before stepping.
-  // Fails if an outgoing tuple cannot be encoded.
-  Status Init();
+  void Init();
 
   // Drains the incoming channels and, if anything new arrived, runs one
   // semi-naive round over the new t_in delta and sends the new outputs.
-  // Returns false when there was nothing to do; a non-OK status (corrupt
-  // or malformed incoming frame, encode failure) must abort the run —
-  // the worker's counters can no longer be trusted.
+  // Returns false when there was nothing to do; a non-OK status (a
+  // received block for an unknown predicate or with the wrong arity)
+  // must abort the run — the worker's counters can no longer be trusted.
   StatusOr<bool> Step();
 
   // Thread body: Init() + Step() until global termination is detected
@@ -97,11 +96,6 @@ class Worker {
   // mode only; see Channel::RetransmitUnacked). Returns frames resent.
   size_t RetransmitUnacked();
 
-  // Serialized (message-passing) mode: encode every outgoing block to
-  // bytes and decode on receipt instead of passing TupleBlock values
-  // through shared memory. Set before Init().
-  void set_serialize_messages(bool on) { serialize_messages_ = on; }
-
   // Retransmit mode: the idle loop periodically re-sends unacknowledged
   // frames. The engine must also have called CommNetwork::
   // EnableRetransmit. Set before Init().
@@ -113,8 +107,8 @@ class Worker {
   // (the old per-tuple protocol). Set before Init().
   void set_block_tuples(int n) { block_tuples_ = n; }
 
-  // Observability: record phase spans (init/drain/probe/insert/encode/
-  // flush/idle) and round instants on `ring`. The ring must be owned by
+  // Observability: record phase spans (init/drain/probe/insert/flush/
+  // idle) and round instants on `ring`. The ring must be owned by
   // this worker's thread (the engine hands worker i ring i); it is also
   // propagated to the worker's t_in relations so bulk ingests appear as
   // insert spans. Null (the default) disables tracing at the cost of
@@ -153,9 +147,9 @@ class Worker {
   Status Setup(Database* edb);
 
   // Appends all pending channel blocks into the t_in relations (bulk
-  // ingest via Relation::InsertBlock; encoded frames are decoded
-  // first). Returns the number of tuples drained, or an error when an
-  // incoming frame fails to decode or names an unknown predicate.
+  // ingest via Relation::InsertBlock). Returns the number of tuples
+  // drained, or an error when a block names an unknown predicate or
+  // carries the wrong arity.
   StatusOr<size_t> DrainChannels();
   // Ingests one received block into its t_in relation; returns the
   // block's tuple count on success.
@@ -178,8 +172,8 @@ class Worker {
   void SendNewRows(Symbol pred, const Relation& out, size_t begin,
                    size_t end);
   // Ships one accumulated block as a single frame: one CountSend(n),
-  // one lock acquisition, one sequence number — shared by the
-  // shared-memory, serialized, and retransmit configurations.
+  // one lock acquisition, one sequence number — shared by the plain
+  // and retransmit configurations.
   void FlushBlock(int dest, TupleBlock* block);
   void FlushSends();
 
@@ -211,15 +205,9 @@ class Worker {
   std::vector<RoundLog> round_logs_;
   RoundLog* current_log_ = nullptr;  // active during Init/ProcessRound
   uint64_t pending_received_ = 0;    // drained since the last round started
-  bool serialize_messages_ = false;
   bool retransmit_ = false;
   int block_tuples_ = 256;  // flush threshold (see set_block_tuples)
-  // First send-side failure (encode error); SendTuple runs deep inside
-  // the join callbacks, so the error is latched here and surfaced by the
-  // next Step()/Init() return.
-  Status send_status_;
   std::vector<TupleBlock> block_buffer_;  // scratch for drains
-  TupleBlock decode_block_;  // reusable decode target (serialized mode)
   // Outgoing accumulation blocks, indexed [dest * num_derived + slot]
   // where slot is the predicate's position in bundle_->derived. Blocks
   // keep their buffer capacity across rounds.

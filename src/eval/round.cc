@@ -126,6 +126,7 @@ void SemiNaiveRound::Fire(Variant& v, EvalStats* stats) {
   stats->tuples_inserted += inserted + inserter.Flush();
   stats->firings += exec.firings;
   stats->rows_examined += exec.rows_examined;
+  stats->batch_probes += exec.batch_probes;
   stats->batch_fallbacks += exec.batch_fallbacks;
 }
 

@@ -37,7 +37,9 @@ struct EvalStats {
   // Distinct tuples added to derived relations.
   uint64_t tuples_inserted = 0;
   uint64_t rows_examined = 0;
-  // Multi-step joins the batch kernel could not cover (ExecStats).
+  // Batches run by the batch join kernel, and multi-step joins it could
+  // not cover (ExecStats).
+  uint64_t batch_probes = 0;
   uint64_t batch_fallbacks = 0;
 };
 

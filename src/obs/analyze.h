@@ -40,11 +40,11 @@ struct ProfileContext {
 
 // Number of span phases (TracePhase kInit..kMaintain); phase_ns is
 // indexed by the TracePhase value.
-inline constexpr int kNumSpanPhases = 11;
+inline constexpr int kNumSpanPhases = 10;
 
 // Busy/idle accounting for one worker within one round (or, for
 // ProfileReport::totals, across the whole run). Only top-level spans
-// count — nested spans (insert inside drain, encode inside flush) are
+// count — nested spans (insert inside drain) are
 // already covered by their parent, so the phases sum to busy + idle.
 struct WorkerRoundProfile {
   uint64_t busy_ns = 0;

@@ -12,8 +12,6 @@ const char* TracePhaseName(TracePhase phase) {
       return "probe";
     case TracePhase::kInsert:
       return "insert";
-    case TracePhase::kEncode:
-      return "encode";
     case TracePhase::kFlush:
       return "flush";
     case TracePhase::kIdle:
@@ -30,8 +28,6 @@ const char* TracePhaseName(TracePhase phase) {
       return "round";
     case TracePhase::kRetransmit:
       return "retransmit";
-    case TracePhase::kCorruptFrame:
-      return "corrupt-frame";
     case TracePhase::kDupFrame:
       return "dup-frame";
     case TracePhase::kFlowSend:

@@ -40,7 +40,6 @@ enum class TracePhase : uint16_t {
   kDrain,     // draining the incoming channels into t_in
   kProbe,     // the semi-naive join pass of one round
   kInsert,    // bulk t_in ingest (Relation::InsertBlock)
-  kEncode,    // wire-encoding an outgoing block (serialized mode)
   kFlush,     // end-of-round flush of the accumulation blocks
   kIdle,      // idle backoff while waiting for peers or termination
   kPool,      // final pooling (engine ring)
@@ -51,19 +50,18 @@ enum class TracePhase : uint16_t {
   kApply,     // one update batch absorbed into the base relations
   kMaintain,  // incremental re-evaluation to the new fixpoint
   // Instant phases.
-  kRound,         // round boundary; arg = round number
-  kRetransmit,    // unacked frames re-sent; arg = frames
-  kCorruptFrame,  // receiver discarded a corrupt frame
-  kDupFrame,      // receiver discarded a duplicate frame
-  kFlowSend,      // block frame enqueued; arg = PackFlowArg(dest, seq)
-  kFlowRecv,      // block frame drained; arg = PackFlowArg(source, seq)
+  kRound,       // round boundary; arg = round number
+  kRetransmit,  // unacked frames re-sent; arg = frames
+  kDupFrame,    // receiver discarded a duplicate frame
+  kFlowSend,    // block frame enqueued; arg = PackFlowArg(dest, seq)
+  kFlowRecv,    // block frame drained; arg = PackFlowArg(source, seq)
 };
 
 // Flow instants pair each frame's send with its delivery so the
 // exporter can draw sender->receiver arrows and the analyzer can chain
 // critical-path segments across workers. The flow identity is the
 // existing (channel, per-channel frame sequence) pair — nothing is
-// added to the wire format — packed into the event's 32-bit arg:
+// added to the frame — packed into the event's 32-bit arg:
 // the peer processor id in the top 10 bits (the CLI caps processors at
 // 1024) and the frame sequence in the low 22 bits. Channels stop
 // emitting flow instants past 2^22 frames rather than wrapping.

@@ -141,7 +141,7 @@ size_t Relation::InsertBlock(const Value* values, int arity, uint32_t count,
   if (count == 0) return 0;
 
   // Pass 1: hash every row. Columnar payloads hash in one tight loop
-  // per column (the layout a decoded TupleBlock frame arrives in).
+  // per column (the layout InsertAll gathers a chunk into).
   block_hashes_.resize(count);
   if (columnar) {
     uint64_t seed = 0x12345678u ^ static_cast<uint64_t>(arity);

@@ -8,8 +8,8 @@
 //
 // Values live in per-column chunked arrays (ColumnStore): column c of
 // rows [0, size) is a chain of fixed-size chunks, so a whole column can
-// be scanned with one pointer per chunk and a received TupleBlock's
-// columnar payload appends with one copy per column — rows are never
+// be scanned with one pointer per chunk and a bulk ingest appends its
+// surviving rows with one gathered copy per column — rows are never
 // materialized on the ingest path. Chunks never relocate, so readers of
 // a frozen prefix are safe while the relation grows.
 //
@@ -288,9 +288,9 @@ class Relation {
   bool InsertView(const Value* values, int n);
 
   // Bulk ingest of `count` rows laid out contiguously, row-major by
-  // default or column-major when `columnar` is set (a decoded
-  // TupleBlock frame keeps the wire's columnar layout): hashes every
-  // row in one pass, reserves dedup capacity up front, then appends the
+  // default (a received TupleBlock) or column-major when `columnar` is
+  // set (InsertAll gathers one chunk at a time): hashes every row in
+  // one pass, reserves dedup capacity up front, then appends the
   // surviving rows with one gathered copy per column — the receive path
   // never materializes per-tuple objects. Returns the number of rows
   // that were new.

@@ -1,15 +1,15 @@
-// Block wire protocol suite: the columnar TupleBlock frame
-// (core/wire.h), the bulk Relation ingest it feeds (InsertBlock), the
-// per-block channel fault/retransmit semantics, and the end-to-end
-// promise that the flush threshold is invisible in the fixpoint —
-// --block-tuples=1 (per-tuple frames) and large blocks must produce
-// identical results on every scheme and channel realization.
+// Block protocol suite: the TupleBlock frame's modeled size, the bulk
+// Relation ingest it feeds (InsertBlock), the per-block channel
+// fault/retransmit semantics, and the end-to-end promise that the flush
+// threshold is invisible in the fixpoint — --block-tuples=1 (per-tuple
+// frames) and large blocks must produce identical results on every
+// scheme.
 #include <algorithm>
 #include <string>
 #include <vector>
 
 #include "cli/driver.h"
-#include "core/wire.h"
+#include "core/channel.h"
 #include "gtest/gtest.h"
 #include "parallel_test_util.h"
 #include "storage/relation.h"
@@ -38,184 +38,20 @@ TupleBlock MakeBlock(Symbol predicate, int arity, uint32_t count) {
   return block;
 }
 
-// Layout-blind tuple comparison: decoded blocks keep the wire's
-// columnar layout while send-side blocks are row-major, so equality is
-// checked cell by cell through the layout-aware accessor.
-void ExpectSameTuples(const TupleBlock& got, const TupleBlock& want) {
-  ASSERT_EQ(got.arity, want.arity);
-  ASSERT_EQ(got.count, want.count);
-  for (uint32_t r = 0; r < want.count; ++r) {
-    for (int c = 0; c < want.arity; ++c) {
-      EXPECT_EQ(got.value(r, c), want.value(r, c))
-          << "row " << r << " col " << c;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
-// Wire format
+// Modeled frame size
 // ---------------------------------------------------------------------
 
-TEST(BlockWireTest, RoundTripAcrossAritiesAndCounts) {
-  for (int arity : {0, 1, 2, 3, 5, kMaxWireArity}) {
-    for (uint32_t count : {1u, 2u, 7u, 300u}) {
-      TupleBlock block = MakeBlock(42, arity, count);
-      std::vector<uint8_t> bytes;
-      ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
-      EXPECT_EQ(bytes.size(), block.WireBytes());
-      size_t offset = 0;
-      TupleBlock decoded;
-      Status status = DecodeBlockInto(bytes, &offset, &decoded);
-      ASSERT_TRUE(status.ok())
-          << status.ToString() << " arity=" << arity << " count=" << count;
-      EXPECT_EQ(offset, bytes.size());
-      EXPECT_EQ(decoded.predicate, block.predicate);
-      EXPECT_TRUE(decoded.columnar) << "decode must keep the wire layout";
-      ExpectSameTuples(decoded, block);
-    }
-  }
-}
-
-TEST(BlockWireTest, DecodedBlocksKeepColumnarLayout) {
-  // Decoding must not transpose: the value buffer is the wire body
-  // verbatim — all of column 0, then column 1.
-  TupleBlock block;
-  block.predicate = 9;
-  block.arity = 2;
-  for (Value v : {1u, 2u, 3u}) {
-    Value row[2] = {v, v * 100};
-    block.Append(row, 2);
-  }
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
-  size_t offset = 0;
-  TupleBlock decoded;
-  ASSERT_TRUE(DecodeBlockInto(bytes, &offset, &decoded).ok());
-  EXPECT_TRUE(decoded.columnar);
-  EXPECT_EQ(decoded.values, (std::vector<Value>{1, 2, 3, 100, 200, 300}));
-  // Re-encoding a columnar block reproduces the identical frame.
-  std::vector<uint8_t> reencoded;
-  ASSERT_TRUE(EncodeBlock(decoded, &reencoded).ok());
-  EXPECT_EQ(reencoded, bytes);
-}
-
-TEST(BlockWireTest, WireLayoutIsColumnar) {
-  // Rows (1,100), (2,200), (3,300): the wire body must hold column 0
-  // first (1,2,3) and then column 1 (100,200,300), little-endian u32s.
-  TupleBlock block;
-  block.predicate = 9;
-  block.arity = 2;
-  for (Value v : {1u, 2u, 3u}) {
-    Value row[2] = {v, v * 100};
-    block.Append(row, 2);
-  }
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
-  ASSERT_EQ(bytes.size(), BlockWireBytes(2, 3));
-  auto u32_at = [&](size_t i) {
-    size_t p = kBlockHeaderBytes + i * kWireValueBytes;
-    return static_cast<uint32_t>(bytes[p]) |
-           static_cast<uint32_t>(bytes[p + 1]) << 8 |
-           static_cast<uint32_t>(bytes[p + 2]) << 16 |
-           static_cast<uint32_t>(bytes[p + 3]) << 24;
-  };
-  EXPECT_EQ(u32_at(0), 1u);
-  EXPECT_EQ(u32_at(1), 2u);
-  EXPECT_EQ(u32_at(2), 3u);
-  EXPECT_EQ(u32_at(3), 100u);
-  EXPECT_EQ(u32_at(4), 200u);
-  EXPECT_EQ(u32_at(5), 300u);
-}
-
-TEST(BlockWireTest, FramesConcatenate) {
-  // Back-to-back frames in one buffer decode one by one: the offset
-  // lands exactly on the next frame.
-  std::vector<uint8_t> bytes;
-  TupleBlock a = MakeBlock(1, 2, 5);
-  TupleBlock b = MakeBlock(2, 3, 1);
-  ASSERT_TRUE(EncodeBlock(a, &bytes).ok());
-  ASSERT_TRUE(EncodeBlock(b, &bytes).ok());
-  size_t offset = 0;
-  TupleBlock decoded;
-  ASSERT_TRUE(DecodeBlockInto(bytes, &offset, &decoded).ok());
-  ExpectSameTuples(decoded, a);
-  ASSERT_TRUE(DecodeBlockInto(bytes, &offset, &decoded).ok());
-  ExpectSameTuples(decoded, b);
-  EXPECT_EQ(offset, bytes.size());
-}
-
-TEST(BlockWireTest, TruncationRejectedAtEveryCut) {
-  TupleBlock block = MakeBlock(3, 2, 4);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
-    size_t offset = 0;
-    TupleBlock decoded;
-    EXPECT_FALSE(DecodeBlockInto(truncated, &offset, &decoded).ok())
-        << "cut=" << cut;
-    EXPECT_EQ(offset, 0u) << "offset must not advance past a bad frame";
-  }
-}
-
-TEST(BlockWireTest, EveryBitFlipDetected) {
-  TupleBlock block = MakeBlock(7, 3, 6);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
-  for (size_t byte = 0; byte < bytes.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> corrupted = bytes;
-      corrupted[byte] ^= static_cast<uint8_t>(1u << bit);
-      size_t offset = 0;
-      TupleBlock decoded;
-      EXPECT_FALSE(DecodeBlockInto(corrupted, &offset, &decoded).ok())
-          << "byte=" << byte << " bit=" << bit;
-      EXPECT_EQ(offset, 0u);
-    }
-  }
-}
-
-TEST(BlockWireTest, NonBlockFrameRejected) {
-  // A header without the block marker (here: a per-tuple layout, u32
-  // predicate | u16 arity 2 | values) is rejected, not misread.
-  std::vector<uint8_t> bytes = {5, 0, 0, 0, 2, 0, 1, 0, 0, 0, 2, 0, 0, 0,
-                                0, 0, 0, 0};
-  size_t offset = 0;
-  TupleBlock decoded;
-  Status status = DecodeBlockInto(bytes, &offset, &decoded);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("not a tuple block"), std::string::npos);
-  EXPECT_EQ(offset, 0u);
-}
-
-TEST(BlockWireTest, EncodeRejectsMalformedBlocks) {
-  std::vector<uint8_t> bytes;
-  TupleBlock empty = MakeBlock(1, 2, 1);
-  empty.count = 0;
-  empty.values.clear();
-  EXPECT_FALSE(EncodeBlock(empty, &bytes).ok());
-
-  TupleBlock wide = MakeBlock(1, kMaxWireArity, 1);
-  wide.arity = kMaxWireArity + 1;
-  EXPECT_FALSE(EncodeBlock(wide, &bytes).ok());
-
-  TupleBlock mismatched = MakeBlock(1, 2, 3);
-  mismatched.values.pop_back();
-  EXPECT_FALSE(EncodeBlock(mismatched, &bytes).ok());
-  EXPECT_TRUE(bytes.empty()) << "failed encodes must append nothing";
-}
-
-TEST(BlockWireTest, OversizedCountFieldRejected) {
-  // A corrupted count that dodged nothing else must be capped before
-  // the decoder sizes any buffer from it.
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(MakeBlock(1, 1, 1), &bytes).ok());
-  for (int i = 0; i < 4; ++i) bytes[6 + i] = 0xff;  // count = 2^32 - 1
-  size_t offset = 0;
-  TupleBlock decoded;
-  Status status = DecodeBlockInto(bytes, &offset, &decoded);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("count exceeds"), std::string::npos);
+TEST(BlockWireTest, WireBytesIsTheModeledFrameSize) {
+  // Hand-computed frames: u32 predicate + u16 arity + u32 count (10
+  // bytes), 4 bytes per value, a 4-byte checksum.
+  EXPECT_EQ(BlockWireBytes(2, 3), 10u + 2 * 3 * 4 + 4);  // 38
+  EXPECT_EQ(BlockWireBytes(0, 5), 14u);
+  EXPECT_EQ(BlockWireBytes(3, 256), 10u + 3 * 256 * 4 + 4);
+  EXPECT_EQ(MakeBlock(42, 2, 3).WireBytes(), 38u);
+  // The per-tuple pooling unit: u32 predicate + u16 arity, the values,
+  // the checksum.
+  EXPECT_EQ(TupleWireBytes(2), 6u + 2 * 4 + 4);
 }
 
 // ---------------------------------------------------------------------
@@ -266,22 +102,22 @@ TEST(InsertBlockTest, LargeBlockAfterSmallInserts) {
 }
 
 TEST(InsertBlockTest, ColumnarIngestMatchesRowMajor) {
-  // The worker receive path hands InsertBlock a decoded (columnar)
-  // block; ingesting it must produce the same relation as ingesting
-  // the original row-major block, row ids included.
+  // InsertAll hands InsertBlock column-major chunks; ingesting one must
+  // produce the same relation as ingesting the row-major block, row ids
+  // included.
   TupleBlock sent = MakeBlock(1, 3, 700);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(sent, &bytes).ok());
-  TupleBlock received;
-  size_t offset = 0;
-  ASSERT_TRUE(DecodeBlockInto(bytes, &offset, &received).ok());
-  ASSERT_TRUE(received.columnar);
+  std::vector<Value> columns(sent.values.size());
+  for (uint32_t r = 0; r < sent.count; ++r) {
+    for (int c = 0; c < sent.arity; ++c) {
+      columns[static_cast<size_t>(c) * sent.count + r] = sent.row(r)[c];
+    }
+  }
 
   Relation from_rows(3), from_cols(3);
   size_t a = from_rows.InsertBlock(sent.values.data(), sent.arity,
                                    sent.count, /*columnar=*/false);
-  size_t b = from_cols.InsertBlock(received.values.data(), received.arity,
-                                   received.count, /*columnar=*/true);
+  size_t b = from_cols.InsertBlock(columns.data(), sent.arity, sent.count,
+                                   /*columnar=*/true);
   EXPECT_EQ(a, b);
   ASSERT_EQ(from_rows.size(), from_cols.size());
   for (size_t r = 0; r < from_rows.size(); ++r) {
@@ -293,17 +129,6 @@ TEST(InsertBlockTest, DuplicatesSplitAcrossTwoReceivedBlocks) {
   // Exactly-once under retransmission overlap: two received blocks
   // share a run of tuples (e.g. a conservative resend); the second
   // ingest must add only the genuinely new suffix.
-  auto columnar = [](const TupleBlock& b) {
-    std::vector<uint8_t> bytes;
-    Status s = EncodeBlock(b, &bytes);
-    EXPECT_TRUE(s.ok());
-    TupleBlock out;
-    size_t offset = 0;
-    s = DecodeBlockInto(bytes, &offset, &out);
-    EXPECT_TRUE(s.ok());
-    EXPECT_TRUE(out.columnar);
-    return out;
-  };
   TupleBlock first, second;
   first.predicate = second.predicate = 1;
   first.arity = second.arity = 2;
@@ -315,16 +140,15 @@ TEST(InsertBlockTest, DuplicatesSplitAcrossTwoReceivedBlocks) {
     Value row[2] = {i, i + 100};
     second.Append(row, 2);
   }
-  TupleBlock c1 = columnar(first), c2 = columnar(second);
   Relation rel(2);
-  EXPECT_EQ(rel.InsertBlock(c1.values.data(), 2, c1.count, true), 40u);
-  EXPECT_EQ(rel.InsertBlock(c2.values.data(), 2, c2.count, true), 30u);
+  EXPECT_EQ(rel.InsertBlock(first.values.data(), 2, first.count), 40u);
+  EXPECT_EQ(rel.InsertBlock(second.values.data(), 2, second.count), 30u);
   EXPECT_EQ(rel.size(), 70u);
   for (Value i = 0; i < 70; ++i) {
     EXPECT_TRUE(rel.Contains(Tuple{i, i + 100})) << "tuple " << i;
   }
   // A full duplicate resend of either block is a no-op.
-  EXPECT_EQ(rel.InsertBlock(c2.values.data(), 2, c2.count, true), 0u);
+  EXPECT_EQ(rel.InsertBlock(second.values.data(), 2, second.count), 0u);
   EXPECT_EQ(rel.size(), 70u);
 }
 
@@ -388,33 +212,6 @@ TEST(BlockChannelTest, DuplicatedBlockDiscardedOnceReliable) {
   EXPECT_EQ(channel.fault_counters().duplicates_discarded, 2u);
 }
 
-TEST(BlockChannelTest, CorruptedSerializedBlockDiscardedThenRecovered) {
-  Channel channel;
-  FaultSpec spec;
-  spec.corrupt = 1.0;
-  channel.ConfigureFaults(spec, 0, 1);
-  channel.EnableRetransmit();
-  TupleBlock block = MakeBlock(1, 2, 6);
-  TupleBlock frame;
-  frame.count = block.count;
-  ASSERT_TRUE(EncodeBlock(block, &frame.encoded).ok());
-  channel.SendBlock(std::move(frame));
-  EXPECT_EQ(channel.total_sent(), 6u);
-  std::vector<TupleBlock> frames;
-  // The injector flipped a byte; the reliable receiver discards the
-  // frame instead of surfacing it.
-  EXPECT_EQ(channel.DrainBlocks(&frames), 0u);
-  EXPECT_EQ(channel.fault_counters().corrupt_discarded, 1u);
-  // The resend bypasses injection and arrives intact.
-  EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  ASSERT_EQ(channel.DrainBlocks(&frames), 6u);
-  ASSERT_EQ(frames.size(), 1u);
-  size_t offset = 0;
-  TupleBlock decoded;
-  ASSERT_TRUE(DecodeBlockInto(frames[0].encoded, &offset, &decoded).ok());
-  ExpectSameTuples(decoded, block);
-}
-
 // ---------------------------------------------------------------------
 // End-to-end exactness: the flush threshold must be invisible
 // ---------------------------------------------------------------------
@@ -427,20 +224,15 @@ TEST(BlockExactnessTest, AncestorFixpointInvariantAcrossBlockSizes) {
       MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 4);
   for (int block_tuples : {1, 3, 256, 4096}) {
     for (bool use_threads : {true, false}) {
-      for (bool serialize : {false, true}) {
-        ParallelOptions options;
-        options.block_tuples = block_tuples;
-        options.use_threads = use_threads;
-        options.serialize_messages = serialize;
-        StatusOr<ParallelResult> result =
-            RunParallel(bundle, &setup->edb, options);
-        ASSERT_TRUE(result.ok())
-            << result.status().ToString() << " block=" << block_tuples;
-        EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()),
-                  expected)
-            << "block=" << block_tuples << " threads=" << use_threads
-            << " serialized=" << serialize;
-      }
+      ParallelOptions options;
+      options.block_tuples = block_tuples;
+      options.use_threads = use_threads;
+      StatusOr<ParallelResult> result =
+          RunParallel(bundle, &setup->edb, options);
+      ASSERT_TRUE(result.ok())
+          << result.status().ToString() << " block=" << block_tuples;
+      EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected)
+          << "block=" << block_tuples << " threads=" << use_threads;
     }
   }
 }
@@ -501,15 +293,12 @@ TEST(BlockExactnessTest, FaultMatrixStaysExactInBlockMode) {
   modes.push_back({"delay", {}, false});
   modes.back().spec.delay = 0.3;
   modes.back().spec.delay_polls = 2;
-  modes.push_back({"corrupt", {}, true});
-  modes.back().spec.corrupt = 0.3;
 
   for (const Mode& mode : modes) {
     for (int block_tuples : {1, 64}) {
       ParallelOptions options;
       options.block_tuples = block_tuples;
       options.faults = mode.spec;
-      options.serialize_messages = mode.spec.corrupt > 0;
       options.retransmit = true;
       StatusOr<ParallelResult> reliable =
           RunParallel(bundle, &setup->edb, options);

@@ -52,26 +52,62 @@ TEST(CliParseTest, Rejections) {
 
 TEST(CliParseTest, FaultsFlag) {
   StatusOr<CliOptions> options = ParseCliArgs(
-      {"--faults=drop:0.1,dup:0.05,reorder:0.2,corrupt:0.15,delay:0.1,"
-       "polls:5",
+      {"--faults=drop:0.1,dup:0.05,reorder:0.2,delay:0.1,polls:5",
        "--retransmit", "p.dl"});
   ASSERT_TRUE(options.ok()) << options.status().ToString();
   EXPECT_DOUBLE_EQ(options->faults.drop, 0.1);
   EXPECT_DOUBLE_EQ(options->faults.duplicate, 0.05);
   EXPECT_DOUBLE_EQ(options->faults.reorder, 0.2);
-  EXPECT_DOUBLE_EQ(options->faults.corrupt, 0.15);
   EXPECT_DOUBLE_EQ(options->faults.delay, 0.1);
   EXPECT_EQ(options->faults.delay_polls, 5);
   EXPECT_TRUE(options->retransmit);
   EXPECT_FALSE(ParseCliArgs({"--faults=drop", "p.dl"}).ok());
   EXPECT_FALSE(ParseCliArgs({"--faults=jitter:0.1", "p.dl"}).ok());
+  EXPECT_FALSE(ParseCliArgs({"--faults=drop:1.5", "p.dl"}).ok());
+  EXPECT_FALSE(ParseCliArgs({"--faults=polls:0", "p.dl"}).ok());
+}
+
+TEST(CliParseTest, CorruptFaultKeyIsUnknown) {
+  // Blocks move through shared memory; there are no frame bytes to
+  // corrupt, so `corrupt` is not a fault kind.
+  StatusOr<CliOptions> options =
+      ParseCliArgs({"--faults=corrupt:0.1", "p.dl"});
+  ASSERT_FALSE(options.ok());
+  EXPECT_NE(
+      options.status().message().find("unknown --faults key 'corrupt'"),
+      std::string::npos)
+      << options.status().ToString();
+}
+
+TEST(CliParseTest, NumericFlagsMustParseWhole) {
+  // A partial, non-finite or out-of-range number is a usage error,
+  // never a silently different value.
+  for (const char* bad :
+       {"--faults=drop:abc", "--processors=4x", "--vars=x:Y", "--rho=nan",
+        "--seed=zz", "--rho=inf", "--seed=-1", "--processors= 4",
+        "--processors=", "--net=1e999", "--block-tuples=8.5",
+        "--trace-ring-kb=99999999999"}) {
+    StatusOr<CliOptions> options = ParseCliArgs({bad, "p.dl"});
+    ASSERT_FALSE(options.ok()) << bad;
+    EXPECT_NE(options.status().message().find("usage:"), std::string::npos)
+        << bad << ": " << options.status().ToString();
+  }
+  StatusOr<CliOptions> options = ParseCliArgs(
+      {"--processors=+3", "--seed=0x10", "--rho=2.5e-1", "--vars=1:Y",
+       "--faults=drop:0", "p.dl"});
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->processors, 3);
+  EXPECT_EQ(options->seed, 16u);
+  EXPECT_DOUBLE_EQ(options->rho, 0.25);
+  ASSERT_EQ(options->rule_vars.size(), 1u);
+  EXPECT_EQ(options->rule_vars[0].first, 1);
 }
 
 TEST(CliRunTest, FaultyRunWithRetransmitStaysExact) {
   // --scheme=example3 forces real cross-processor traffic (auto would
   // pick the communication-free scheme, leaving nothing to inject on).
   StatusOr<CliOptions> options = ParseCliArgs(
-      {"--scheme=example3", "--faults=drop:0.2,corrupt:0.2",
+      {"--scheme=example3", "--faults=drop:0.1,dup:0.1,reorder:0.1,delay:0.1",
        "--retransmit", "p.dl"});
   ASSERT_TRUE(options.ok());
   StatusOr<std::string> report = RunCli(*options, kAncestor);

@@ -3,15 +3,14 @@
 // the runtime makes about it:
 //   1. with retransmit enabled, the parallel fixpoint equals the serial
 //      semi-naive result under every injected fault mode;
-//   2. with retransmit disabled, injected drops/duplicates/corruption
-//      surface as a non-OK Status from RunParallel — never a silent
+//   2. with retransmit disabled, injected drops/duplicates surface as
+//      a non-OK Status from RunParallel — never a silent
 //      wrong answer.
 #include "core/fault.h"
 
 #include <string>
 #include <vector>
 
-#include "core/wire.h"
 #include "gtest/gtest.h"
 #include "parallel_test_util.h"
 #include "workload/generators.h"
@@ -78,14 +77,6 @@ TupleBlock Block(std::vector<Value> row) {
   return block;
 }
 
-// The serialized-mode frame of `block`: its EncodeBlock bytes.
-TupleBlock Encoded(const TupleBlock& block) {
-  TupleBlock frame;
-  frame.count = block.count;
-  EXPECT_TRUE(EncodeBlock(block, &frame.encoded).ok());
-  return frame;
-}
-
 TEST(FaultChannelTest, DropLosesEveryMessage) {
   Channel channel;
   FaultSpec spec;
@@ -138,8 +129,8 @@ TEST(FaultChannelTest, ReorderFlipsDeliveryOrder) {
   EXPECT_EQ(channel.DrainBlocks(&out), 3u);
   ASSERT_EQ(out.size(), 3u);
   // Every frame jumped the queue, so arrival order is reversed.
-  EXPECT_EQ(out[0].value(0, 0), 3u);
-  EXPECT_EQ(out[2].value(0, 0), 1u);
+  EXPECT_EQ(out[0].row(0)[0], 3u);
+  EXPECT_EQ(out[2].row(0)[0], 1u);
 }
 
 TEST(FaultChannelTest, ReliableChannelReordersBackInOrder) {
@@ -159,7 +150,7 @@ TEST(FaultChannelTest, ReliableChannelReordersBackInOrder) {
   }
   ASSERT_EQ(out.size(), 3u);
   for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].value(0, 0), static_cast<Value>(i + 1));
+    EXPECT_EQ(out[i].row(0)[0], static_cast<Value>(i + 1));
   }
 }
 
@@ -179,51 +170,6 @@ TEST(FaultChannelTest, DelayedFrameStaysPendingThenMatures) {
   EXPECT_EQ(channel.DrainBlocks(&out), 1u);  // matured after delay_polls
   EXPECT_FALSE(channel.HasPending());
   EXPECT_EQ(channel.fault_counters().delayed, 1u);
-}
-
-TEST(FaultChannelTest, CorruptByteModeBreaksChecksum) {
-  Channel channel;
-  FaultSpec spec;
-  spec.corrupt = 1.0;
-  channel.ConfigureFaults(spec, 0, 1);
-  channel.SendBlock(Encoded(Block({1, 2})));
-  std::vector<TupleBlock> out;
-  ASSERT_EQ(channel.DrainBlocks(&out), 1u);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_FALSE(FrameChecksumOk(out[0].encoded.data(), out[0].encoded.size()));
-  EXPECT_EQ(channel.fault_counters().corrupted, 1u);
-}
-
-TEST(FaultChannelTest, CorruptLeavesValueBlocksIntact) {
-  // A block of decoded values has no bytes to flip: it is delivered
-  // as sent and nothing is counted as corrupted.
-  Channel channel;
-  FaultSpec spec;
-  spec.corrupt = 1.0;
-  channel.ConfigureFaults(spec, 0, 1);
-  channel.SendBlock(Block({1, 2}));
-  std::vector<TupleBlock> out;
-  ASSERT_EQ(channel.DrainBlocks(&out), 1u);
-  EXPECT_EQ(out[0].values, (std::vector<Value>{1, 2}));
-  EXPECT_EQ(channel.fault_counters().corrupted, 0u);
-}
-
-TEST(FaultChannelTest, ReliableChannelRecoversCorruptViaRetransmit) {
-  Channel channel;
-  FaultSpec spec;
-  spec.corrupt = 1.0;
-  channel.ConfigureFaults(spec, 0, 1);
-  channel.EnableRetransmit();
-  channel.SendBlock(Encoded(Block({1, 2})));
-  std::vector<TupleBlock> out;
-  // The receiver discards the corrupt frame without acknowledging it...
-  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
-  EXPECT_EQ(channel.fault_counters().corrupt_discarded, 1u);
-  // ...and the sender's retransmission (which bypasses injection)
-  // delivers the intact copy.
-  EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  ASSERT_EQ(channel.DrainBlocks(&out), 1u);
-  EXPECT_TRUE(FrameChecksumOk(out[0].encoded.data(), out[0].encoded.size()));
 }
 
 TEST(FaultChannelTest, RetransmitStopsOnceAcknowledged) {
@@ -263,9 +209,6 @@ std::vector<FaultMode> FaultModes() {
   FaultSpec reorder;
   reorder.reorder = 0.5;
   modes.push_back({"reorder", reorder});
-  FaultSpec corrupt;
-  corrupt.corrupt = 0.25;
-  modes.push_back({"corrupt", corrupt});
   FaultSpec delay;
   delay.delay = 0.4;
   delay.delay_polls = 2;
@@ -274,7 +217,6 @@ std::vector<FaultMode> FaultModes() {
   mixed.drop = 0.1;
   mixed.duplicate = 0.1;
   mixed.reorder = 0.1;
-  mixed.corrupt = 0.1;
   mixed.delay = 0.1;
   modes.push_back({"mixed", mixed});
   return modes;
@@ -295,7 +237,6 @@ TEST_P(FaultMatrixTest, AncestorExactUnderEveryFaultModeWithRetransmit) {
         MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 4);
     ParallelOptions options;
     options.use_threads = GetParam();
-    options.serialize_messages = true;  // corruption needs wire bytes
     options.faults = mode.spec;
     options.retransmit = true;
     StatusOr<ParallelResult> result =
@@ -363,7 +304,6 @@ TEST_P(FaultMatrixTest, PointsToExactUnderEveryFaultModeWithRetransmit) {
     GenPointsToFacts(&symbols, &edb, 12, 6, 25, 11);
     ParallelOptions options;
     options.use_threads = GetParam();
-    options.serialize_messages = true;
     options.faults = mode.spec;
     options.retransmit = true;
     StatusOr<ParallelResult> result = RunParallel(*bundle, &edb, options);
@@ -419,24 +359,6 @@ TEST_P(FaultMatrixTest, DuplicatesWithoutRetransmitFailTheRun) {
       << result.status().ToString();
 }
 
-TEST_P(FaultMatrixTest, CorruptionWithoutRetransmitFailTheRun) {
-  auto setup = MakeAncestorSetup();
-  GenRandomGraph(&setup->symbols, &setup->edb, "par", 30, 60, 9);
-  RewriteBundle bundle =
-      MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 4);
-  ParallelOptions options;
-  options.use_threads = GetParam();
-  options.serialize_messages = true;
-  options.faults.corrupt = 0.3;
-  StatusOr<ParallelResult> result = RunParallel(bundle, &setup->edb, options);
-  // A corrupted frame fails its checksum at decode; the worker's Status
-  // propagates out of RunParallel (the tentpole path: DrainChannels ->
-  // Step -> RunLoop -> RunParallel).
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("bad frame"), std::string::npos)
-      << result.status().ToString();
-}
-
 // ---------------------------------------------------------------------
 // Termination detection under injected delays: quiescence must not be
 // declared while frames are still in transit.
@@ -478,7 +400,6 @@ TEST(FaultOptionsTest, RetransmitWithoutFaultsIsExact) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected);
   EXPECT_EQ(result->faults.dropped, 0u);
-  EXPECT_EQ(result->faults.corrupted, 0u);
 }
 
 TEST(FaultOptionsTest, InvalidSpecsAreRejected) {
@@ -495,10 +416,6 @@ TEST(FaultOptionsTest, InvalidSpecsAreRejected) {
   oversum.faults.drop = 0.7;
   oversum.faults.delay = 0.7;
   EXPECT_FALSE(RunParallel(bundle, &setup->edb, oversum).ok());
-
-  ParallelOptions corrupt_shared;
-  corrupt_shared.faults.corrupt = 0.5;  // but serialize_messages = false
-  EXPECT_FALSE(RunParallel(bundle, &setup->edb, corrupt_shared).ok());
 
   ParallelOptions bad_delay;
   bad_delay.faults.delay = 0.5;
@@ -517,9 +434,8 @@ TEST(FaultOptionsTest, DeterministicModeReproducesFaultCounters) {
         MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 3);
     ParallelOptions options;
     options.use_threads = false;
-    options.serialize_messages = true;
     options.faults.drop = 0.2;
-    options.faults.corrupt = 0.2;
+    options.faults.reorder = 0.2;
     options.retransmit = true;
     StatusOr<ParallelResult> result =
         RunParallel(bundle, &setup->edb, options);
@@ -529,7 +445,7 @@ TEST(FaultOptionsTest, DeterministicModeReproducesFaultCounters) {
       EXPECT_TRUE(first.any());
     } else {
       EXPECT_EQ(result->faults.dropped, first.dropped);
-      EXPECT_EQ(result->faults.corrupted, first.corrupted);
+      EXPECT_EQ(result->faults.reordered, first.reordered);
       EXPECT_EQ(result->faults.retransmitted, first.retransmitted);
     }
   }

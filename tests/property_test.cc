@@ -49,10 +49,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(AncestorPropertyTest, ParallelEqualsSequentialAndNonRedundant) {
   const PropertyCase& c = GetParam();
-  // Exercise the message-passing (serialized) channel realization on a
-  // third of the sweep.
-  ParallelOptions popts;
-  popts.serialize_messages = (c.seed % 3 == 0);
   auto setup = MakeAncestorSetup();
   // Mix of topologies per seed.
   switch (c.seed % 3) {
@@ -71,8 +67,7 @@ TEST_P(AncestorPropertyTest, ParallelEqualsSequentialAndNonRedundant) {
 
   RewriteBundle bundle =
       MakeAncestorBundle(setup.get(), c.scheme, c.processors, c.seed);
-  StatusOr<ParallelResult> result =
-      RunParallel(bundle, &setup->edb, popts);
+  StatusOr<ParallelResult> result = RunParallel(bundle, &setup->edb);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected);

@@ -1,9 +1,14 @@
 #include "eval/seminaive.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "eval/naive.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "workload/generators.h"
+#include "workload/programs.h"
 
 namespace pdatalog {
 namespace {
@@ -171,6 +176,38 @@ TEST(SemiNaiveTest, LongChainRoundsEqualDepth) {
   ASSERT_TRUE(SemiNaiveEvaluate(program, info, &db, &stats).ok());
   EXPECT_EQ(db.Find(symbols.Lookup("anc"))->size(), 50u * 51u / 2u);
   EXPECT_GE(stats.rounds, 50);
+}
+
+TEST(SemiNaiveTest, BatchKernelEngagesOnJoinWorkloads) {
+  // Every two-atom join of ancestor and the linear points-to core must
+  // run through the batch kernel: no batches would mean the columnar
+  // fast path silently died, and a fallback would mean a plan
+  // degenerated to the scalar join. (The full points_to program's
+  // three-atom rules are outside the kernel's scan->probe shape.)
+  const char* kLinearPointsTo =
+      "pt(V, O) :- new(V, O).\n"
+      "pt(V, O) :- assign(V, W), pt(W, O).\n";
+  StatusOr<NamedProgram> ancestor = FindProgram("ancestor");
+  ASSERT_TRUE(ancestor.ok());
+  for (const std::string& source : {ancestor->source,
+                                    std::string(kLinearPointsTo)}) {
+    SymbolTable symbols;
+    Program program = ParseOrDie(source, &symbols);
+    ProgramInfo info = ValidateOrDie(program);
+    std::vector<Symbol> bases(info.base.begin(), info.base.end());
+    std::sort(bases.begin(), bases.end());
+    Database db;
+    uint64_t seed = 1;
+    for (Symbol base : bases) {
+      GenRandomGraph(&symbols, &db, symbols.Name(base), 200, 400, seed++);
+    }
+    EvalStats stats;
+    ASSERT_TRUE(SemiNaiveEvaluate(program, info, &db, &stats).ok())
+        << source;
+    EXPECT_GT(stats.firings, 0u) << source;
+    EXPECT_GT(stats.batch_probes, 0u) << source;
+    EXPECT_EQ(stats.batch_fallbacks, 0u) << source;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 // Direct unit tests of the Worker: init/step semantics, pattern-matched
 // sending (including constants and repeated variables in the recursive
-// atom), self-channel accounting, and undetermined-broadcast behaviour.
+// atom), self-channel accounting, undetermined-broadcast behaviour, and
+// the receive-side check on incoming blocks.
 #include "core/worker.h"
+
+#include <string>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "parallel_test_util.h"
@@ -13,6 +17,7 @@ namespace {
 using testing_util::MakeAncestorBundle;
 using testing_util::MakeAncestorSetup;
 using testing_util::AncestorScheme;
+using testing_util::AncestorSetup;
 using testing_util::ParseOrDie;
 using testing_util::ValidateOrDie;
 
@@ -40,7 +45,7 @@ struct WorkerRig {
 
   // Runs init + round-robin steps to quiescence.
   void RunToQuiescence() {
-    for (auto& w : workers) ASSERT_TRUE(w->Init().ok());
+    for (auto& w : workers) w->Init();
     bool progress = true;
     while (progress) {
       progress = false;
@@ -224,6 +229,65 @@ TEST(WorkerTest, LocalProgramPrintable) {
   EXPECT_NE(local.Find(bundle.out_name.at(anc)), nullptr);
   EXPECT_NE(local.Find(bundle.in_name.at(anc)), nullptr);
   (void)edb;
+}
+
+// Blocks a correct sending rule never produces: one naming a predicate
+// the receiver has no t_in relation for, and one for `anc` with the
+// wrong arity.
+std::vector<TupleBlock> MalformedBlocks(AncestorSetup* setup) {
+  const Value row[3] = {1, 2, 3};
+  TupleBlock unknown;
+  unknown.predicate = setup->symbols.Intern("no_such_predicate");
+  unknown.arity = 2;
+  unknown.Append(row, 2);
+  TupleBlock wrong_arity;
+  wrong_arity.predicate = setup->anc();
+  wrong_arity.arity = 3;
+  wrong_arity.Append(row, 3);
+  return {unknown, wrong_arity};
+}
+
+TEST(WorkerTest, MalformedReceivedBlockFailsStepNamingSender) {
+  auto setup = MakeAncestorSetup();
+  GenChain(&setup->symbols, &setup->edb, "par", 4);
+  RewriteBundle bundle =
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 2);
+  for (const TupleBlock& bad : MalformedBlocks(setup.get())) {
+    WorkerRig rig = WorkerRig::Create(bundle, &setup->edb);
+    rig.network->channel(1, 0).SendBlock(bad);
+    StatusOr<bool> stepped = rig.workers[0]->Step();
+    ASSERT_FALSE(stepped.ok()) << "arity " << bad.arity;
+    EXPECT_NE(stepped.status().message().find("from processor 1"),
+              std::string::npos)
+        << stepped.status().ToString();
+    EXPECT_EQ(rig.workers[0]->stats().in_inserted, 0u);
+  }
+}
+
+TEST(WorkerTest, MalformedReceivedBlockAbortsThreadedRun) {
+  // The threaded loop RunParallel runs: the receiver's failure aborts
+  // the detector, every peer stops, and the detector's run status (what
+  // RunParallel returns) carries the receiver's diagnostic.
+  auto setup = MakeAncestorSetup();
+  GenChain(&setup->symbols, &setup->edb, "par", 4);
+  RewriteBundle bundle =
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 2);
+  for (const TupleBlock& bad : MalformedBlocks(setup.get())) {
+    WorkerRig rig = WorkerRig::Create(bundle, &setup->edb);
+    rig.network->channel(1, 0).SendBlock(bad);
+    std::vector<Status> status(rig.workers.size());
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < rig.workers.size(); ++i) {
+      threads.emplace_back(
+          [&rig, &status, i] { status[i] = rig.workers[i]->RunLoop(); });
+    }
+    for (std::thread& t : threads) t.join();
+    Status run = rig.detector->run_status();
+    ASSERT_FALSE(run.ok()) << "arity " << bad.arity;
+    EXPECT_NE(run.message().find("from processor 1"), std::string::npos)
+        << run.ToString();
+    for (const Status& st : status) EXPECT_FALSE(st.ok());
+  }
 }
 
 }  // namespace
