@@ -94,44 +94,6 @@ void AblateJoinOrder() {
       "pays for the a x c cartesian product in rows examined.\n");
 }
 
-void AblateStratification() {
-  std::printf("\n--- C: stratified vs monolithic sequential evaluation ---\n");
-  // Two stacked transitive closures: while the lower closure is still
-  // growing, the monolithic evaluator keeps probing the upper rules.
-  SymbolTable symbols;
-  StatusOr<Program> program = ParseProgram(
-      "r1(X, Y) :- e(X, Y).\n"
-      "r1(X, Y) :- e(X, Z), r1(Z, Y).\n"
-      "r2(X, Y) :- r1(X, Y).\n"
-      "r2(X, Y) :- r1(X, Z), r2(Z, Y).\n",
-      &symbols);
-  ProgramInfo info;
-  (void)Validate(*program, &info);
-
-  TextTable table({"mode", "firings", "rows examined", "rounds", "ms"});
-  for (bool stratified : {false, true}) {
-    Database db;
-    GenChain(&symbols, &db, "e", 60);
-    EvalOptions options;
-    options.stratified = stratified;
-    EvalStats stats;
-    Stopwatch watch;
-    Status status =
-        SemiNaiveEvaluate(*program, info, &db, &stats, nullptr, options);
-    if (!status.ok()) AncestorHarness::Die("eval", status);
-    table.AddRow({stratified ? "stratified" : "monolithic",
-                  TextTable::Cell(stats.firings),
-                  TextTable::Cell(stats.rows_examined),
-                  TextTable::Cell(stats.rounds),
-                  TextTable::Cell(watch.ElapsedMillis(), 2)});
-  }
-  table.Print();
-  std::printf(
-      "expected: identical firings; the stratified run examines fewer\n"
-      "rows because upper-stratum delta rules never execute during the\n"
-      "lower stratum's rounds.\n");
-}
-
 }  // namespace
 
 int main() {
@@ -139,6 +101,5 @@ int main() {
               "justify this implementation's defaults).\n\n");
   AblateFragmentation();
   AblateJoinOrder();
-  AblateStratification();
   return 0;
 }

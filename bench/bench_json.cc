@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <thread>
 
 namespace pdatalog {
 namespace bench {
@@ -78,7 +79,13 @@ JsonRecord& BenchJson::NewRecord() {
 }
 
 std::string BenchJson::ToString() const {
-  std::string out = "{\n  \"bench\": " + Quote(name_) + ",\n  \"records\": [";
+  // Host facts first: a record read without them cannot be compared
+  // with one from another machine or build.
+  std::string out = "{\n  \"bench\": " + Quote(name_) +
+                    ",\n  \"host_cores\": " +
+                    std::to_string(std::thread::hardware_concurrency()) +
+                    ",\n  \"build_type\": " + Quote(PDATALOG_BUILD_TYPE) +
+                    ",\n  \"records\": [";
   for (size_t i = 0; i < records_.size(); ++i) {
     out += i > 0 ? ",\n    " : "\n    ";
     out += records_[i].ToString();

@@ -30,7 +30,9 @@ class JsonRecord {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-// A named collection of records: {"bench": <name>, "records": [...]}.
+// A named collection of records: {"bench": <name>, "host_cores": <N>,
+// "build_type": <CMAKE_BUILD_TYPE>, "records": [...]}. host_cores is
+// std::thread::hardware_concurrency() of the machine that ran the bench.
 class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {}

@@ -1,5 +1,6 @@
 #include "cli/driver.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -105,11 +106,22 @@ size_t RingCapacity(const CliOptions& options) {
   return capacity == 0 ? 1 : capacity;
 }
 
+// The program text a run evaluates: the --program builtin's rules, if
+// one is named, followed by `source`.
+StatusOr<std::string> EffectiveSource(const CliOptions& options,
+                                      const std::string& source) {
+  if (options.builtin.empty()) return source;
+  StatusOr<NamedProgram> builtin = FindProgram(options.builtin);
+  if (!builtin.ok()) return builtin.status();
+  return builtin->source + source;
+}
+
 // Picks default discriminating sequences for the general scheme: each
 // rule is keyed on the first variable of its first derived body atom
 // (the join variable in the common case), falling back to the first
-// head variable for exit rules.
-std::vector<GeneralRuleSpec> AutoGeneralSpecs(
+// head variable for exit rules. A --vars override must name a rule of
+// the program and a variable of that rule's body.
+StatusOr<std::vector<GeneralRuleSpec>> AutoGeneralSpecs(
     const Program& program, const ProgramInfo& info, int processors,
     uint64_t seed,
     const std::vector<std::pair<int, std::string>>& overrides) {
@@ -139,9 +151,23 @@ std::vector<GeneralRuleSpec> AutoGeneralSpecs(
     specs[r].h = DiscriminatingFunction::UniformHash(processors, seed);
   }
   for (const auto& [idx, name] : overrides) {
-    if (idx < 0 || idx >= static_cast<int>(specs.size())) continue;
+    if (idx < 0 || idx >= static_cast<int>(specs.size())) {
+      return UsageError("--vars rule index " + std::to_string(idx) +
+                        " is out of range (the program has " +
+                        std::to_string(specs.size()) + " rules)");
+    }
+    std::vector<Symbol> body_vars;
+    for (const Atom& atom : program.rules[idx].body) {
+      CollectVariables(atom, &body_vars);
+    }
     Symbol sym = program.symbols->Lookup(name);
-    if (sym != kInvalidSymbol) specs[idx].vars = {sym};
+    if (std::find(body_vars.begin(), body_vars.end(), sym) ==
+        body_vars.end()) {
+      return UsageError("--vars variable '" + name +
+                        "' does not occur in the body of rule " +
+                        std::to_string(idx));
+    }
+    specs[idx].vars = {sym};
   }
   return specs;
 }
@@ -178,12 +204,12 @@ StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
 
   switch (scheme) {
     case Scheme::kGeneral: {
+      StatusOr<std::vector<GeneralRuleSpec>> specs = AutoGeneralSpecs(
+          program, info, P, options.seed, options.rule_vars);
+      if (!specs.ok()) return specs.status();
       *scheme_note = "general scheme (Section 7), per-rule hash on the "
                      "first derived-atom variable";
-      return RewriteGeneral(
-          program, info, P,
-          AutoGeneralSpecs(program, info, P, options.seed,
-                           options.rule_vars));
+      return RewriteGeneral(program, info, P, *specs);
     }
     case Scheme::kExample1: {
       if (!sirup.ok()) return sirup.status();
@@ -431,8 +457,6 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
       options.list_programs = true;
     } else if (arg == "--explain") {
       options.explain = true;
-    } else if (arg == "--stratified") {
-      options.stratified = true;
     } else if (ConsumePrefix(arg, "--net=", &rest)) {
       PDATALOG_RETURN_IF_ERROR(ParseNumber(
           rest, 0.0, std::numeric_limits<double>::max(),
@@ -453,14 +477,17 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
     if (options.mode == CliOptions::Mode::kNaive) {
       return UsageError("--incremental cannot combine with --mode=naive");
     }
-    if (options.stratified) {
-      return UsageError("--incremental cannot combine with --stratified");
-    }
     // Incremental maintenance is a sequential evaluator.
     options.mode = CliOptions::Mode::kSequential;
   }
   if (options.serve && options.interactive) {
     return UsageError("--serve and --interactive are exclusive");
+  }
+  if (options.interactive &&
+      (options.list_programs || options.explain || options.advise)) {
+    return UsageError(
+        "--interactive queries an evaluated program; it cannot combine "
+        "with --list-programs, --explain or --advise");
   }
   if (!options.serve &&
       (options.telemetry_port >= 0 || options.slow_query_ms > 0 ||
@@ -484,8 +511,15 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
   return options;
 }
 
-StatusOr<std::string> RunCli(const CliOptions& options,
-                             const std::string& source) {
+namespace {
+
+// RunCli's body. When the run evaluates the program (not --list-programs,
+// --explain or --advise), `*fixpoint` receives the evaluated database:
+// base relations plus the derived relations of the least model, as the
+// requested mode computed them. `symbol_table` names its constants.
+StatusOr<std::string> Evaluate(const CliOptions& options,
+                               const std::string& source,
+                               SymbolTable* symbol_table, Database* fixpoint) {
   if (options.list_programs) {
     std::string out;
     for (const NamedProgram& named : BuiltinPrograms()) {
@@ -495,14 +529,10 @@ StatusOr<std::string> RunCli(const CliOptions& options,
     return out;
   }
 
-  SymbolTable symbols;
-  std::string effective_source = source;
-  if (!options.builtin.empty()) {
-    StatusOr<NamedProgram> builtin = FindProgram(options.builtin);
-    if (!builtin.ok()) return builtin.status();
-    effective_source = builtin->source + source;
-  }
-  StatusOr<Program> program = ParseProgram(effective_source, &symbols);
+  SymbolTable& symbols = *symbol_table;
+  StatusOr<std::string> effective_source = EffectiveSource(options, source);
+  if (!effective_source.ok()) return effective_source.status();
+  StatusOr<Program> program = ParseProgram(*effective_source, &symbols);
   if (!program.ok()) return program.status();
   ProgramInfo info;
   PDATALOG_RETURN_IF_ERROR(Validate(*program, &info));
@@ -574,7 +604,6 @@ StatusOr<std::string> RunCli(const CliOptions& options,
     }
     EvalStats stats;
     EvalOptions eopts;
-    eopts.stratified = options.stratified;
     if (tracer != nullptr) eopts.trace = tracer->ring(0);
     if (options.incremental) {
       // One-shot run through the maintenance engine: seed its (empty)
@@ -603,9 +632,7 @@ StatusOr<std::string> RunCli(const CliOptions& options,
     } else if (options.mode == CliOptions::Mode::kSequential) {
       PDATALOG_RETURN_IF_ERROR(SemiNaiveEvaluate(*program, info, &edb,
                                                  &stats, nullptr, eopts));
-      out += options.stratified
-                 ? "mode: sequential semi-naive (stratified)\n"
-                 : "mode: sequential semi-naive\n";
+      out += "mode: sequential semi-naive\n";
     } else {
       PDATALOG_RETURN_IF_ERROR(NaiveEvaluate(*program, info, &edb, &stats));
       out += "mode: sequential naive\n";
@@ -664,6 +691,7 @@ StatusOr<std::string> RunCli(const CliOptions& options,
              options.save_directory + "\n";
     }
     PDATALOG_RETURN_IF_ERROR(dump_relation(edb));
+    *fixpoint = std::move(edb);
     return out;
   }
 
@@ -779,7 +807,20 @@ StatusOr<std::string> RunCli(const CliOptions& options,
            options.save_directory + "\n";
   }
   PDATALOG_RETURN_IF_ERROR(dump_relation(result->output));
+  for (Symbol p : bundle->derived) {
+    edb.Adopt(p, result->output.Release(p));
+  }
+  *fixpoint = std::move(edb);
   return out;
+}
+
+}  // namespace
+
+StatusOr<std::string> RunCli(const CliOptions& options,
+                             const std::string& source) {
+  SymbolTable symbols;
+  Database fixpoint;
+  return Evaluate(options, source, &symbols, &fixpoint);
 }
 
 void QueryLoop(const Database& db, SymbolTable* symbols, std::istream& in,
@@ -805,46 +846,20 @@ void QueryLoop(const Database& db, SymbolTable* symbols, std::istream& in,
 
 Status RunInteractive(const CliOptions& options, const std::string& source,
                       std::istream& in, std::ostream& out) {
-  // Produce the normal report first.
-  StatusOr<std::string> report = RunCli(options, source);
+  SymbolTable symbols;
+  Database fixpoint;
+  StatusOr<std::string> report =
+      Evaluate(options, source, &symbols, &fixpoint);
   if (!report.ok()) return report.status();
   out << *report;
-
-  // Re-evaluate to obtain the database for querying (RunCli returns
-  // only text; evaluation here is cheap relative to an interactive
-  // session). Sequential evaluation yields the same least model as any
-  // scheme (Theorem 1).
-  SymbolTable symbols;
-  std::string effective_source = source;
-  if (!options.builtin.empty()) {
-    StatusOr<NamedProgram> builtin = FindProgram(options.builtin);
-    if (!builtin.ok()) return builtin.status();
-    effective_source = builtin->source + source;
-  }
-  StatusOr<Program> program = ParseProgram(effective_source, &symbols);
-  if (!program.ok()) return program.status();
-  ProgramInfo info;
-  PDATALOG_RETURN_IF_ERROR(Validate(*program, &info));
-  Database db;
-  PDATALOG_RETURN_IF_ERROR(db.LoadFacts(*program));
-  for (const auto& [pred, path] : options.fact_files) {
-    StatusOr<size_t> loaded = LoadFactsFromFile(path, pred, &symbols, &db);
-    if (!loaded.ok()) return loaded.status();
-  }
-  EvalStats stats;
-  PDATALOG_RETURN_IF_ERROR(SemiNaiveEvaluate(*program, info, &db, &stats));
-  QueryLoop(db, &symbols, in, out);
+  QueryLoop(fixpoint, &symbols, in, out);
   return Status::Ok();
 }
 
 Status RunServe(const CliOptions& options, const std::string& source,
                 std::istream& in, std::ostream& out) {
-  std::string effective_source = source;
-  if (!options.builtin.empty()) {
-    StatusOr<NamedProgram> builtin = FindProgram(options.builtin);
-    if (!builtin.ok()) return builtin.status();
-    effective_source = builtin->source + source;
-  }
+  StatusOr<std::string> effective_source = EffectiveSource(options, source);
+  if (!effective_source.ok()) return effective_source.status();
 
   ServerOptions sopts;
   sopts.max_batch = static_cast<size_t>(options.serve_batch);
@@ -859,7 +874,7 @@ Status RunServe(const CliOptions& options, const std::string& source,
     sopts.health.max_lag_ms = options.health_lag_ms;
   }
   StatusOr<std::unique_ptr<ServerEngine>> engine =
-      ServerEngine::Create(effective_source, sopts);
+      ServerEngine::Create(*effective_source, sopts);
   if (!engine.ok()) return engine.status();
   ServerEngine* server = engine->get();
 

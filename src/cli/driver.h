@@ -70,8 +70,6 @@
 //                               (destination, predicate) and ship as one
 //                               frame per block, flushing mid-round at N
 //                               tuples (default 256; 1 = per-tuple frames)
-//     --stratified              sequential modes only: evaluate SCC
-//                               strata bottom-up
 //     --trace=FILE              write a Chrome-trace (Perfetto) JSON of
 //                               per-worker phase spans (init/drain/probe/
 //                               insert/flush/idle) and round
@@ -152,7 +150,6 @@ struct CliOptions {
   bool print_stats = false;
   bool advise = false;
   bool explain = false;
-  bool stratified = false;
   // --faults / --retransmit / --block-tuples (parallel mode only).
   FaultSpec faults;
   bool retransmit = false;
@@ -186,15 +183,15 @@ StatusOr<std::string> RunCli(const CliOptions& options,
 // The --interactive loop, separated for testability: reads one query
 // atom per line from `in` and writes its bindings to `out`. A blank
 // line or EOF ends the loop. Malformed queries print the error and
-// continue. Needs the evaluated database; RunCli cannot return it, so
-// the tool re-runs evaluation itself when --interactive is set — see
-// RunInteractive below, which does parse + evaluate + loop in one call.
+// continue. RunInteractive below runs it over the database of its one
+// evaluation.
 void QueryLoop(const class Database& db, SymbolTable* symbols,
                std::istream& in, std::ostream& out);
 
-// Full interactive session: evaluates like RunCli (parallel or
-// sequential per options), prints the RunCli report to `out`, then runs
-// QueryLoop over the result.
+// Full interactive session: evaluates once, exactly as RunCli would in
+// the requested mode and scheme, prints RunCli's report to `out`, then
+// runs QueryLoop over that evaluation's database (base relations plus
+// the derived fixpoint).
 Status RunInteractive(const CliOptions& options, const std::string& source,
                       std::istream& in, std::ostream& out);
 

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "core/partition.h"
-#include "eval/stratify.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
 
@@ -331,8 +330,7 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
   }
   AbsorbFaultCounters(result.faults, &m);
   if (options.tracer != nullptr) {
-    // Fold every worker's single-writer histograms into the registry;
-    // stratified runs then merge these bucket-wise across strata.
+    // Fold every worker's single-writer histograms into the registry.
     auto fold = [&m](const char* name, const Histogram& h) {
       if (!h.empty()) m.MergeHistogram(name, h);
     };
@@ -361,89 +359,6 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
   m.SetGauge("run.wall_seconds", result.wall_seconds);
   ProjectScalarsFromMetrics(&result);
   return result;
-}
-
-StatusOr<ParallelResult> RunParallelStratified(
-    const Program& program, const ProgramInfo& info, int num_processors,
-    const std::vector<GeneralRuleSpec>& rule_specs, Database* edb,
-    const ParallelOptions& options) {
-  if (rule_specs.size() != program.rules.size()) {
-    return Status::InvalidArgument(
-        "RunParallelStratified requires one GeneralRuleSpec per rule");
-  }
-  Stratification strat = Stratify(program, info);
-
-  ParallelResult total;
-  Stopwatch watch;
-  double pool_seconds = 0;  // summed over strata (gauges do not add)
-  total.workers.resize(num_processors);
-  total.worker_rounds.resize(num_processors);
-  total.channel_matrix.assign(num_processors,
-                              std::vector<uint64_t>(num_processors, 0));
-  total.bytes_matrix.assign(num_processors,
-                            std::vector<uint64_t>(num_processors, 0));
-  total.frames_matrix.assign(num_processors,
-                             std::vector<uint64_t>(num_processors, 0));
-
-  for (size_t s = 0; s < strat.strata.size(); ++s) {
-    Program sub;
-    sub.symbols = program.symbols;
-    std::vector<GeneralRuleSpec> sub_specs;
-    for (int r : strat.rules_by_stratum[s]) {
-      sub.rules.push_back(program.rules[r]);
-      sub_specs.push_back(rule_specs[r]);
-    }
-    ProgramInfo sub_info;
-    PDATALOG_RETURN_IF_ERROR(Validate(sub, &sub_info));
-    StatusOr<RewriteBundle> bundle =
-        RewriteGeneral(sub, sub_info, num_processors, sub_specs);
-    if (!bundle.ok()) return bundle.status();
-
-    StatusOr<ParallelResult> result = RunParallel(*bundle, edb, options);
-    if (!result.ok()) return result.status();
-
-    // Pooled outputs of this stratum feed later strata as base inputs.
-    for (Symbol p : strat.strata[s]) {
-      std::unique_ptr<Relation> pooled = result->output.Release(p);
-      edb->GetOrCreate(p, pooled->arity()).InsertAll(*pooled);
-      total.output.Adopt(p, std::move(pooled));
-    }
-    pool_seconds += result->metrics.gauge("run.pool_seconds");
-
-    // Aggregate statistics: counters add across strata; the scalar
-    // fields are re-projected from the merged registry at the end.
-    total.metrics.Merge(result->metrics);
-    total.faults += result->faults;
-    for (int i = 0; i < num_processors; ++i) {
-      const WorkerStats& w = result->workers[i];
-      total.workers[i].rounds += w.rounds;
-      total.workers[i].firings += w.firings;
-      total.workers[i].out_inserted += w.out_inserted;
-      total.workers[i].in_inserted += w.in_inserted;
-      total.workers[i].received += w.received;
-      total.workers[i].sent_cross += w.sent_cross;
-      total.workers[i].sent_self += w.sent_self;
-      total.workers[i].broadcasts += w.broadcasts;
-      total.workers[i].frames += w.frames;
-      total.workers[i].rows_examined += w.rows_examined;
-      total.workers[i].batch_fallbacks += w.batch_fallbacks;
-      for (int j = 0; j < num_processors; ++j) {
-        total.channel_matrix[i][j] += result->channel_matrix[i][j];
-        total.bytes_matrix[i][j] += result->bytes_matrix[i][j];
-        total.frames_matrix[i][j] += result->frames_matrix[i][j];
-      }
-      // Concatenate round logs stratum after stratum (the strata are
-      // sequential phases, so this is the true global round order).
-      for (const RoundLog& log : result->worker_rounds[i]) {
-        total.worker_rounds[i].push_back(log);
-      }
-    }
-  }
-  total.wall_seconds = watch.ElapsedSeconds();
-  total.metrics.SetGauge("run.wall_seconds", total.wall_seconds);
-  total.metrics.SetGauge("run.pool_seconds", pool_seconds);
-  ProjectScalarsFromMetrics(&total);
-  return total;
 }
 
 }  // namespace pdatalog

@@ -120,19 +120,6 @@ void PoolOutputs(const RewriteBundle& bundle,
                  std::vector<std::unique_ptr<Worker>>* workers,
                  Database* output, MetricsRegistry* metrics);
 
-// Stratified parallel evaluation: the program's dependency-graph
-// condensation is evaluated bottom-up, one parallel run per stratum
-// (Section 7 general scheme within each). Completed strata become
-// extensional inputs of later ones, so upper-stratum processors never
-// idle through lower-stratum rounds and the per-stratum discriminating
-// choices are independent. `rule_specs` follows Program::rules order.
-// Returns the pooled outputs of every stratum plus summed statistics
-// (worker/channel details are per-stratum internally and aggregated).
-StatusOr<ParallelResult> RunParallelStratified(
-    const Program& program, const ProgramInfo& info, int num_processors,
-    const std::vector<GeneralRuleSpec>& rule_specs, Database* edb,
-    const ParallelOptions& options = {});
-
 }  // namespace pdatalog
 
 #endif  // PDATALOG_CORE_ENGINE_H_

@@ -21,8 +21,7 @@ class IncrementalEvaluator {
   // `program`/`info` must outlive the evaluator. The database starts
   // empty; load facts with AddFact and call Evaluate. `options.trace`
   // records the same init/probe spans and round instants as
-  // SemiNaiveEvaluate, on the thread that calls Evaluate;
-  // `options.stratified` is ignored (maintenance runs the whole program).
+  // SemiNaiveEvaluate, on the thread that calls Evaluate.
   static StatusOr<IncrementalEvaluator> Create(const Program& program,
                                                const ProgramInfo& info,
                                                const EvalOptions& options = {});

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "eval/round.h"
-#include "eval/stratify.h"
 #include "obs/trace.h"
 
 namespace pdatalog {
@@ -52,27 +51,6 @@ Status SemiNaiveEvaluate(const Program& program, const ProgramInfo& info,
   // db if no facts were loaded; derived ones start empty).
   for (Symbol p : info.predicates) {
     db->GetOrCreate(p, info.arity.at(p));
-  }
-
-  if (options.stratified) {
-    // Evaluate the condensation bottom-up: each stratum's rules form a
-    // sub-program in which lower-strata predicates classify as base
-    // (their relations in `db` are already complete and frozen).
-    Stratification strat = Stratify(program, info);
-    EvalOptions sub_options = options;
-    sub_options.stratified = false;
-    for (size_t s = 0; s < strat.strata.size(); ++s) {
-      Program sub;
-      sub.symbols = program.symbols;
-      for (int r : strat.rules_by_stratum[s]) {
-        sub.rules.push_back(program.rules[r]);
-      }
-      ProgramInfo sub_info;
-      PDATALOG_RETURN_IF_ERROR(Validate(sub, &sub_info));
-      PDATALOG_RETURN_IF_ERROR(SemiNaiveEvaluate(sub, sub_info, db, stats,
-                                                 constraint_eval, sub_options));
-    }
-    return Status::Ok();
   }
 
   StatusOr<CompiledProgram> compiled =

@@ -19,10 +19,6 @@ class TraceRing;  // obs/trace.h
 struct EvalOptions {
   // false: join body atoms in textual order instead of most-bound-first.
   bool greedy_join_order = true;
-  // true: evaluate stratum by stratum (SCCs of the dependency graph in
-  // topological order; see eval/stratify.h) so rules never rerun while
-  // predicates they depend on, but do not feed, are still growing.
-  bool stratified = false;
   // Observability: when set, the evaluator records init/probe phase
   // spans and round instants on `ring`. The ring must belong to the
   // calling thread; null (the default) disables tracing.

@@ -112,7 +112,7 @@ std::vector<BusyInterval> BusyIntervals(const WorkerTrace& wt) {
 // A delivery on some worker paired back to the matching send: the
 // flow edges of the critical path. Pairing is positional per
 // (sender, receiver, sequence) key, exactly like the Chrome exporter
-// (stratified runs reuse sequences; channels are FIFO).
+// (channels are FIFO).
 struct PairedRecv {
   uint64_t recv_ts = 0;
   int sender = 0;

@@ -97,11 +97,9 @@ struct FlowPoint {
 };
 
 // Collects flow endpoints from every ring, keyed by the flow identity
-// (sender, receiver, per-channel frame sequence). Stratified runs
-// reuse the rings across strata with per-stratum channels, so one key
-// can recur; endpoints are kept in ring order and paired positionally
-// (channels are FIFO and sequences restart per stratum, so the k-th
-// send of a key matches the k-th delivery).
+// (sender, receiver, per-channel frame sequence). Endpoints are kept
+// in ring order and paired positionally: channels are FIFO, so the
+// k-th send of a key matches the k-th delivery.
 void CollectFlows(
     const Tracer& tracer,
     std::map<uint64_t, std::pair<std::vector<FlowPoint>,

@@ -62,21 +62,6 @@ class MetricsRegistry {
     return it == histograms_.end() ? nullptr : &it->second;
   }
 
-  // Folds another registry in: counters add and histograms merge
-  // bucket-wise (strata of a stratified run are sequential phases of
-  // one computation), gauges take the later value.
-  void Merge(const MetricsRegistry& other) {
-    for (const auto& [name, value] : other.counters_) {
-      counters_[name] += value;
-    }
-    for (const auto& [name, value] : other.gauges_) {
-      gauges_[name] = value;
-    }
-    for (const auto& [name, histogram] : other.histograms_) {
-      histograms_[name].Merge(histogram);
-    }
-  }
-
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }

@@ -48,6 +48,14 @@ TEST(CliParseTest, Rejections) {
   // Partitioning is fixed per run: no run-time skew flags.
   EXPECT_FALSE(ParseCliArgs({"--rebalance-skew=1.3", "p.dl"}).ok());
   EXPECT_FALSE(ParseCliArgs({"--rebalance-buckets=8", "p.dl"}).ok());
+  // --interactive queries an evaluation; these runs evaluate nothing.
+  EXPECT_FALSE(ParseCliArgs({"--interactive", "--explain", "p.dl"}).ok());
+  EXPECT_FALSE(ParseCliArgs({"--interactive", "--advise", "p.dl"}).ok());
+  // One fixpoint per program: no evaluation-order flags.
+  StatusOr<CliOptions> removed = ParseCliArgs({"--stratified", "p.dl"});
+  ASSERT_FALSE(removed.ok());
+  EXPECT_NE(removed.status().message().find("unknown flag"),
+            std::string::npos);
 }
 
 TEST(CliParseTest, FaultsFlag) {
@@ -317,16 +325,6 @@ TEST(CliRunTest, ExplainPrintsPlans) {
   EXPECT_NE(report->find("delta on body atom 1"), std::string::npos);
 }
 
-TEST(CliRunTest, StratifiedSequentialMode) {
-  StatusOr<CliOptions> options =
-      ParseCliArgs({"--mode=seq", "--stratified", "p.dl"});
-  ASSERT_TRUE(options.ok());
-  StatusOr<std::string> report = RunCli(*options, kAncestor);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_NE(report->find("(stratified)"), std::string::npos);
-  EXPECT_NE(report->find("anc: 6 tuples"), std::string::npos);
-}
-
 TEST(CliRunTest, AdviseRanking) {
   StatusOr<CliOptions> options =
       ParseCliArgs({"--advise", "--net=8", "p.dl"});
@@ -372,6 +370,25 @@ TEST(CliInteractiveTest, MalformedQueryKeepsLooping) {
   EXPECT_NE(out.str().find("X = b"), std::string::npos);
 }
 
+TEST(CliInteractiveTest, ParallelModeAnswersFromItsOwnFixpoint) {
+  StatusOr<CliOptions> options = ParseCliArgs(
+      {"--interactive", "--mode=par", "--scheme=example3", "--processors=3",
+       "p.dl"});
+  ASSERT_TRUE(options.ok());
+  std::istringstream in("anc(a, X)\npar(b, W)\n");
+  std::ostringstream out;
+  Status status = RunInteractive(*options, kAncestor, in, out);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  std::string text = out.str();
+  // One evaluation, in the requested mode: one report, parallel.
+  EXPECT_NE(text.find("mode: parallel, 3 processors"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("mode:"), text.rfind("mode:")) << text;
+  // Derived (pooled) and base relations both answer.
+  EXPECT_NE(text.find("X = d"), std::string::npos) << text;
+  EXPECT_NE(text.find("W = c"), std::string::npos) << text;
+}
+
 TEST(CliInteractiveTest, EofEndsLoop) {
   StatusOr<CliOptions> options =
       ParseCliArgs({"--interactive", "--mode=seq", "p.dl"});
@@ -414,6 +431,19 @@ TEST(CliRunTest, VarsOverrideGeneralScheme) {
   StatusOr<std::string> report = RunCli(*options, source);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->find("h2(Z) = 0"), std::string::npos) << *report;
+
+  // An override naming no rule, or no variable of its rule's body, is a
+  // usage error rather than a silent fallback to the default scheme.
+  for (const char* vars : {"--vars=99:Y", "--vars=0:Nope", "--vars=0:Z"}) {
+    StatusOr<CliOptions> bad =
+        ParseCliArgs({"--scheme=general", vars, "p.dl"});
+    ASSERT_TRUE(bad.ok()) << vars;
+    StatusOr<std::string> rejected = RunCli(*bad, source);
+    ASSERT_FALSE(rejected.ok()) << vars;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find("--vars"), std::string::npos)
+        << rejected.status().message();
+  }
 }
 
 TEST(CliRunTest, EmbeddedQueriesAnswered) {

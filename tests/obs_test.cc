@@ -303,15 +303,6 @@ TEST(MetricsTest, CountersAddAndGaugesOverwrite) {
   EXPECT_DOUBLE_EQ(m.gauge("run.wall_seconds"), 2.5);
   EXPECT_DOUBLE_EQ(m.gauge("absent"), 0.0);
   EXPECT_EQ(m.size(), 2u);
-
-  MetricsRegistry other;
-  other.AddCounter("run.firings", 10);
-  other.AddCounter("run.rounds", 2);
-  other.SetGauge("run.wall_seconds", 9.0);
-  m.Merge(other);
-  EXPECT_EQ(m.counter("run.firings"), 17u);
-  EXPECT_EQ(m.counter("run.rounds"), 2u);
-  EXPECT_DOUBLE_EQ(m.gauge("run.wall_seconds"), 9.0);
 }
 
 TEST(MetricsTest, JsonExportParses) {
@@ -420,47 +411,6 @@ TEST(HistogramTest, MergeAddsBucketwise) {
     }
     EXPECT_EQ(a.bucket(bucket), expected) << "bucket " << bucket;
   }
-}
-
-TEST(MetricsTest, MergeCombinesHistogramsAcrossStrata) {
-  // The stratified driver evaluates one stratum at a time and folds
-  // each stratum's registry into the run total: counters must add,
-  // gauges must keep the last stratum's value, histograms must merge
-  // bucket-wise — never overwrite.
-  MetricsRegistry stratum0;
-  Histogram h0;
-  h0.Record(10);
-  h0.Record(20);
-  stratum0.MergeHistogram("hist.probe_ns", h0);
-  stratum0.AddCounter("run.firings", 5);
-  stratum0.SetGauge("run.wall_seconds", 0.5);
-
-  MetricsRegistry stratum1;
-  Histogram h1;
-  h1.Record(1000);
-  stratum1.MergeHistogram("hist.probe_ns", h1);
-  stratum1.MergeHistogram("hist.drain_ns", h1);
-  stratum1.AddCounter("run.firings", 7);
-  stratum1.SetGauge("run.wall_seconds", 0.25);
-
-  MetricsRegistry total;
-  total.Merge(stratum0);
-  total.Merge(stratum1);
-  EXPECT_EQ(total.counter("run.firings"), 12u);
-  EXPECT_DOUBLE_EQ(total.gauge("run.wall_seconds"), 0.25);
-
-  const Histogram* probe = total.FindHistogram("hist.probe_ns");
-  ASSERT_NE(probe, nullptr);
-  EXPECT_EQ(probe->count(), 3u);
-  EXPECT_EQ(probe->sum(), 1030u);
-  EXPECT_EQ(probe->max(), 1000u);
-  const Histogram* drain = total.FindHistogram("hist.drain_ns");
-  ASSERT_NE(drain, nullptr);
-  EXPECT_EQ(drain->count(), 1u);
-  EXPECT_EQ(total.FindHistogram("absent"), nullptr);
-  // Histograms count toward size and non-emptiness.
-  EXPECT_EQ(total.histograms().size(), 2u);
-  EXPECT_FALSE(total.empty());
 }
 
 TEST(MetricsTest, JsonExportIncludesHistogramPercentiles) {

@@ -30,7 +30,7 @@ TEST(RobustnessTest, ThousandRuleProgramParsesAndValidates) {
 }
 
 TEST(RobustnessTest, DeepDerivationChainEvaluates) {
-  // p999 <- p998 <- ... <- p0 <- base: 1000 strata deep.
+  // p999 <- p998 <- ... <- p0 <- base: 1000 rules deep.
   std::string source = "p0(X) :- base(X).\n";
   for (int i = 1; i < 1000; ++i) {
     source += "p" + std::to_string(i) + "(X) :- p" +
@@ -45,16 +45,6 @@ TEST(RobustnessTest, DeepDerivationChainEvaluates) {
   EvalStats stats;
   ASSERT_TRUE(SemiNaiveEvaluate(program, info, &db, &stats).ok());
   EXPECT_EQ(db.Find(symbols.Lookup("p999"))->size(), 1u);
-  // Stratified mode must survive the same depth (iterative Tarjan).
-  Database db2;
-  ASSERT_TRUE(db2.LoadFacts(program).ok());
-  EvalOptions options;
-  options.stratified = true;
-  EvalStats stats2;
-  ASSERT_TRUE(
-      SemiNaiveEvaluate(program, info, &db2, &stats2, nullptr, options)
-          .ok());
-  EXPECT_EQ(db2.Find(symbols.Lookup("p999"))->size(), 1u);
 }
 
 TEST(RobustnessTest, VeryLongIdentifiers) {
